@@ -1,5 +1,5 @@
-// Ablation bench: isolates the contribution of each Atlas design choice called out in
-// DESIGN.md — the flexible fast-path condition (vs EPaxos-style matching), slow-path
+// Ablation bench: isolates the contribution of each Atlas design choice — the
+// flexible fast-path condition (vs EPaxos-style matching), slow-path
 // dependency pruning (§4), NFR (§4), and dependency compression (implementation-level).
 #include <cstdio>
 
@@ -47,8 +47,8 @@ int main() {
 
   std::printf("-- slow-path dependency pruning (§4), f=2, 50%% conflicts --\n");
   std::printf("   (per-identifier pruning requires the full index; under compression "
-              "only the\n    conservative per-process rule is sound — see DESIGN.md "
-              "§7)\n");
+              "only the\n    conservative per-process rule is sound — see "
+              "ThresholdUnionByProcInto)\n");
   Report("full index + per-dot pruning",
          Run(true, false, smr::IndexMode::kFull, 0.5, 0, 2));
   Report("full index, no pruning",

@@ -5,7 +5,8 @@
 // thresholds two noticeable events appear (QC on Nov 7, TW on Dec 8), but at every
 // instant all slow links are incident to at most ONE site => f <= 1 held throughout.
 //
-// Substitution (see DESIGN.md): synthetic campaign with the same event structure.
+// Substitution (see src/harness/linkmon.h): synthetic campaign with the same event
+// structure.
 #include <cstdio>
 
 #include "src/harness/linkmon.h"
@@ -13,7 +14,7 @@
 int main() {
   std::printf("=== Figure 3: simultaneous link failures vs timeout threshold ===\n");
   std::printf("(17 sites, 90 days, 1 ping/s per link; synthetic campaign, "
-              "see DESIGN.md)\n\n");
+              "see src/harness/linkmon.h)\n\n");
   harness::LinkMonOptions opts;
   harness::LinkMonResult result = harness::RunLinkFailureStudy(opts);
   std::printf("%s\n", harness::FormatLinkMonReport(opts, result).c_str());

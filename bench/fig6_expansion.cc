@@ -18,7 +18,7 @@ using bench::ScaledClients;
 namespace {
 
 // Egress model approximating an n1-standard-8 site for this message volume:
-// 64 MB/s usable egress plus 20us/message CPU. See DESIGN.md (substitutions).
+// 64 MB/s usable egress plus 20us/message CPU (a substitution for the paper's VMs).
 constexpr double kEgressBytesPerSec = 64.0 * 1024 * 1024;
 constexpr common::Duration kPerMessageCost = 20;
 

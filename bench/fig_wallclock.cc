@@ -69,7 +69,6 @@ struct PointSpec {
   size_t window = 0;  // outstanding ops per client connection
   double warmup_sec = 1.0;
   double measure_sec = 4.0;
-  uint16_t port_base = 0;
   std::string data_dir;  // non-empty = durable replicas (commit log + snapshots)
 };
 
@@ -86,155 +85,143 @@ struct PointResult {
 // drives it with closed-loop client threads, measures a wall-clock window.
 PointResult RunPoint(const PointSpec& spec) {
   PointResult res;
-  for (int attempt = 0; attempt < 5; attempt++) {
-    uint16_t base = static_cast<uint16_t>(spec.port_base + attempt * 4 +
-                                          (getpid() % 512));
-    std::vector<rt::PeerAddress> addrs;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      addrs.push_back(rt::PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
-    }
-    smr::DeploymentOptions d;
-    d.protocol = spec.protocol;
-    d.n = kNodes;
-    d.f = 1;
-    d.partitions = spec.partitions;
-    // Ignored at P = 1 (unbatched baseline); at P > 1 every worker drains its
-    // submission batch once per window. 1ms is far above the doorbell's poll
-    // granularity and far below client-visible latency targets.
-    d.batch_window = 1 * common::kMillisecond;
-    d.threaded = true;
-    d.executor_threads = spec.executor_threads;
-    std::vector<std::unique_ptr<smr::Deployment>> replicas;
+  smr::DeploymentOptions d;
+  d.protocol = spec.protocol;
+  d.n = kNodes;
+  d.f = 1;
+  d.partitions = spec.partitions;
+  // Ignored at P = 1 (unbatched baseline); at P > 1 each shard's submissions
+  // are batched per window. 1ms is the poll granularity of the runtime's
+  // timers and far below client-visible latency targets.
+  d.batch_window = 1 * common::kMillisecond;
+  d.threaded = true;
+  d.executor_threads = spec.executor_threads;
+  std::vector<std::unique_ptr<smr::Deployment>> replicas;
+  // Every node binds an ephemeral port; the resolved table goes to all of
+  // them before Run().
+  std::vector<std::unique_ptr<rt::Node>> nodes;
+  std::vector<rt::PeerAddress> addrs(kNodes, rt::PeerAddress{"127.0.0.1", 0});
+  for (uint32_t i = 0; i < kNodes; i++) {
+    smr::DeploymentOptions di = d;
     if (!spec.data_dir.empty()) {
-      // Fresh subtree per attempt so a retried bind never recovers the state a
-      // failed attempt logged.
-      d.data_dir = spec.data_dir + "/try" + std::to_string(attempt);
+      di.data_dir = spec.data_dir + "/site-" + std::to_string(i);
     }
-    std::vector<std::unique_ptr<rt::Node>> nodes;
-    bool bind_ok = true;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      smr::DeploymentOptions di = d;
-      if (!di.data_dir.empty()) {
-        di.data_dir += "/site-" + std::to_string(i);
-      }
-      replicas.push_back(std::make_unique<smr::Deployment>(std::move(di)));
-      nodes.push_back(std::make_unique<rt::Node>(i, addrs, replicas[i].get()));
-      if (!nodes.back()->Listen()) {
-        bind_ok = false;
-        break;
-      }
+    replicas.push_back(std::make_unique<smr::Deployment>(std::move(di)));
+    nodes.push_back(std::make_unique<rt::Node>(i, addrs, replicas[i].get()));
+    if (!nodes.back()->Listen()) {
+      std::fprintf(stderr, "fig_wallclock: node %u could not listen (%s P=%u)\n", i,
+                   spec.proto_name, spec.partitions);
+      return res;
     }
-    if (!bind_ok) {
-      continue;  // port block in use; try the next one
-    }
-    std::vector<std::thread> node_threads;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      node_threads.emplace_back([&, i]() { nodes[i]->Run(); });
-    }
+    addrs[i].port = nodes.back()->port();
+  }
+  for (auto& node : nodes) {
+    node->set_peers(addrs);
+  }
+  std::vector<std::thread> node_threads;
+  for (uint32_t i = 0; i < kNodes; i++) {
+    node_threads.emplace_back([&, i]() { nodes[i]->Run(); });
+  }
 
-    // 0 = warmup, 1 = measuring, 2 = stop. An op counts toward the window iff
-    // its reply arrived inside it (per-op sojourn latency under pipelining).
-    std::atomic<int> phase{0};
-    std::atomic<uint64_t> completed{0};
-    std::atomic<int> failures{0};
-    std::vector<common::Histogram> hists(kNodes);
-    std::vector<std::thread> clients;
-    const std::string value(100, 'x');
-    for (uint32_t c = 0; c < kNodes; c++) {
-      clients.emplace_back([&, c]() {
-        rt::Client client("127.0.0.1", addrs[c].port);
-        bool connected = false;
-        for (int i = 0; i < 200 && !connected; i++) {
-          connected = client.Connect();
-          if (!connected) {
-            usleep(20 * 1000);
-          }
-        }
+  // 0 = warmup, 1 = measuring, 2 = stop. An op counts toward the window iff
+  // its reply arrived inside it (per-op sojourn latency under pipelining).
+  std::atomic<int> phase{0};
+  std::atomic<uint64_t> completed{0};
+  std::atomic<int> failures{0};
+  std::vector<common::Histogram> hists(kNodes);
+  std::vector<std::thread> clients;
+  const std::string value(100, 'x');
+  for (uint32_t c = 0; c < kNodes; c++) {
+    clients.emplace_back([&, c]() {
+      rt::Client client("127.0.0.1", addrs[c].port);
+      bool connected = false;
+      for (int i = 0; i < 200 && !connected; i++) {
+        connected = client.Connect();
         if (!connected) {
+          usleep(20 * 1000);
+        }
+      }
+      if (!connected) {
+        failures.fetch_add(1);
+        return;
+      }
+      uint64_t seq = 0;
+      // Send timestamps keyed by seq slot; replies on one connection can
+      // complete out of order (independent shards), but never lap the window.
+      std::vector<std::chrono::steady_clock::time_point> sent(2 * spec.window);
+      auto send_next = [&]() {
+        seq++;
+        // Private per-client keys, hot-slot cycle: single-key (shard-local)
+        // commands that the hash partitioner spreads over every partition.
+        std::string key =
+            "c" + std::to_string(c) + "-k" + std::to_string(seq % 64);
+        sent[seq % sent.size()] = std::chrono::steady_clock::now();
+        return client.Send(smr::MakePut(c + 1, seq, std::move(key), value));
+      };
+      for (size_t i = 0; i < spec.window; i++) {
+        if (!send_next()) {
           failures.fetch_add(1);
           return;
         }
-        uint64_t seq = 0;
-        // Send timestamps keyed by seq slot; replies on one connection can
-        // complete out of order (independent shards), but never lap the window.
-        std::vector<std::chrono::steady_clock::time_point> sent(2 * spec.window);
-        auto send_next = [&]() {
-          seq++;
-          // Private per-client keys, hot-slot cycle: single-key (shard-local)
-          // commands that the hash partitioner spreads over every partition.
-          std::string key =
-              "c" + std::to_string(c) + "-k" + std::to_string(seq % 64);
-          sent[seq % sent.size()] = std::chrono::steady_clock::now();
-          return client.Send(smr::MakePut(c + 1, seq, std::move(key), value));
-        };
-        for (size_t i = 0; i < spec.window; i++) {
-          if (!send_next()) {
-            failures.fetch_add(1);
-            return;
-          }
+      }
+      std::string result;
+      uint64_t got_seq = 0;
+      while (phase.load(std::memory_order_relaxed) != 2) {
+        if (!client.RecvReply(&got_seq, &result)) {
+          failures.fetch_add(1);
+          return;
         }
-        std::string result;
-        uint64_t got_seq = 0;
-        while (phase.load(std::memory_order_relaxed) != 2) {
-          if (!client.RecvReply(&got_seq, &result)) {
-            failures.fetch_add(1);
-            return;
-          }
-          if (phase.load(std::memory_order_relaxed) == 1) {
-            auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() -
-                          sent[got_seq % sent.size()])
-                          .count();
-            hists[c].Record(us);
-            completed.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (!send_next()) {
-            failures.fetch_add(1);
-            return;
-          }
+        if (phase.load(std::memory_order_relaxed) == 1) {
+          auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() -
+                        sent[got_seq % sent.size()])
+                        .count();
+          hists[c].Record(us);
+          completed.fetch_add(1, std::memory_order_relaxed);
         }
-      });
-    }
+        if (!send_next()) {
+          failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
 
-    auto sleep_sec = [](double s) {
-      usleep(static_cast<useconds_t>(s * 1e6));
-    };
-    sleep_sec(spec.warmup_sec);
-    phase.store(1);
-    auto m0 = std::chrono::steady_clock::now();
-    sleep_sec(spec.measure_sec);
-    phase.store(2);
-    double measured =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - m0)
-            .count();
-    for (auto& t : clients) {
-      t.join();
-    }
-    for (auto& node : nodes) {
-      node->Stop();
-    }
-    for (auto& t : node_threads) {
-      t.join();
-    }
-    if (failures.load() != 0) {
-      std::fprintf(stderr, "fig_wallclock: %d client failures at %s P=%u\n",
-                   failures.load(), spec.proto_name, spec.partitions);
-      return res;
-    }
-    common::Histogram all;
-    for (const auto& h : hists) {
-      all.Merge(h);
-    }
-    res.completed = completed.load();
-    res.throughput = measured > 0 ? static_cast<double>(res.completed) / measured : 0;
-    res.p50_ms = static_cast<double>(all.Percentile(50)) / 1000.0;
-    res.p95_ms = static_cast<double>(all.Percentile(95)) / 1000.0;
-    res.p99_ms = static_cast<double>(all.Percentile(99)) / 1000.0;
-    res.ok = true;
+  auto sleep_sec = [](double s) {
+    usleep(static_cast<useconds_t>(s * 1e6));
+  };
+  sleep_sec(spec.warmup_sec);
+  phase.store(1);
+  auto m0 = std::chrono::steady_clock::now();
+  sleep_sec(spec.measure_sec);
+  phase.store(2);
+  double measured =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - m0)
+          .count();
+  for (auto& t : clients) {
+    t.join();
+  }
+  for (auto& node : nodes) {
+    node->Stop();
+  }
+  for (auto& t : node_threads) {
+    t.join();
+  }
+  if (failures.load() != 0) {
+    std::fprintf(stderr, "fig_wallclock: %d client failures at %s P=%u\n",
+                 failures.load(), spec.proto_name, spec.partitions);
     return res;
   }
-  std::fprintf(stderr, "fig_wallclock: could not bind a port block (%s P=%u)\n",
-               spec.proto_name, spec.partitions);
+  common::Histogram all;
+  for (const auto& h : hists) {
+    all.Merge(h);
+  }
+  res.completed = completed.load();
+  res.throughput = measured > 0 ? static_cast<double>(res.completed) / measured : 0;
+  res.p50_ms = static_cast<double>(all.Percentile(50)) / 1000.0;
+  res.p95_ms = static_cast<double>(all.Percentile(95)) / 1000.0;
+  res.p99_ms = static_cast<double>(all.Percentile(99)) / 1000.0;
+  res.ok = true;
   return res;
 }
 
@@ -269,7 +256,6 @@ int main(int argc, char** argv) {
 
   bench::BenchJsonWriter json("wallclock");
   bool all_ok = true;
-  uint16_t port_block = 47000;
   // Throwaway root for the durability points' logs/snapshots.
   char dur_template[] = "/tmp/atlas_wallclock_dur_XXXXXX";
   const char* mk = mkdtemp(dur_template);
@@ -284,8 +270,6 @@ int main(int argc, char** argv) {
       spec.window = kWindowPerPartition * partitions;
       spec.warmup_sec = warmup_sec;
       spec.measure_sec = measure_sec;
-      spec.port_base = port_block;
-      port_block = static_cast<uint16_t>(port_block + 24);
       PointResult r = RunPoint(spec);
       all_ok = all_ok && r.ok;
       tp[partitions] = r.throughput;
@@ -327,8 +311,6 @@ int main(int argc, char** argv) {
       spec.window = kWindowPerPartition * partitions;
       spec.warmup_sec = warmup_sec;
       spec.measure_sec = measure_sec;
-      spec.port_base = port_block;
-      port_block = static_cast<uint16_t>(port_block + 24);
       PointResult r = RunPoint(spec);
       all_ok = all_ok && r.ok;
       double vs_base = tp[partitions] > 0 ? r.throughput / tp[partitions] : 0;
@@ -357,8 +339,6 @@ int main(int argc, char** argv) {
       spec.window = kWindowPerPartition * 4;
       spec.warmup_sec = warmup_sec;
       spec.measure_sec = measure_sec;
-      spec.port_base = port_block;
-      port_block = static_cast<uint16_t>(port_block + 24);
       spec.data_dir = dur_root + "/" + proto.name;
       PointResult r = RunPoint(spec);
       all_ok = all_ok && r.ok;

@@ -8,6 +8,12 @@ void Writer::U32(uint32_t v) {
   }
 }
 
+void Writer::PatchU32(size_t at, uint32_t v) {
+  for (size_t i = 0; i < 4; i++) {
+    buf_[at + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
 void Writer::U64(uint64_t v) {
   for (int i = 0; i < 8; i++) {
     buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));

@@ -30,6 +30,11 @@ class Writer {
   void Bytes(std::string_view s);
   void Dot(const common::Dot& d);
   void Deps(const common::DepSet& deps);
+  // Appends bytes verbatim (no length prefix).
+  void Raw(const uint8_t* data, size_t n) { buf_.insert(buf_.end(), data, data + n); }
+  // Overwrites 4 already-written bytes at `at` with v (little-endian), e.g. a
+  // length prefix reserved before the body was encoded.
+  void PatchU32(size_t at, uint32_t v);
 
   const std::vector<uint8_t>& buffer() const { return buf_; }
   std::vector<uint8_t> TakeBuffer() { return std::move(buf_); }

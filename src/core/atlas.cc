@@ -191,7 +191,8 @@ void AtlasEngine::FinishCollect(const Dot& dot, Info& info) {
   // paper's per-identifier counting is only sound when conflicts() reports every
   // conflicting identifier (full index); under dependency compression quorum members
   // may report different aliases of one conflict chain, so the counting must be
-  // per originating process instead (see ThresholdUnionByProc and DESIGN.md §7).
+  // per originating process instead (see ThresholdUnionByProcInto in
+  // src/common/dep_set.h).
   stats_.slow_paths++;
   if (!config_.prune_slow_path) {
     common::UnionInto(info.collect_deps, scratch_deps_);

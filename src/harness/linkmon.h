@@ -5,7 +5,7 @@
 // concluding that timeouts only ever clustered on links incident to a single site
 // (hence f <= 1 in practice).
 //
-// Substitution (DESIGN.md): we cannot rerun GCP for three months, so we generate a
+// Substitution: we cannot rerun GCP for three months, so we generate a
 // synthetic campaign with the same structure the paper reports:
 //   - rare site-level degradation episodes (all links incident to one site become slow
 //     for minutes-to-hours), matching the two events the paper observed (QC on Nov 7,

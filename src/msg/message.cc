@@ -537,6 +537,12 @@ void Encode(codec::Writer& w, const Message& m) {
   std::visit([&w](const auto& body) { Put(w, body); }, m.body);
 }
 
+void EncodeClientRequest(codec::Writer& w, const smr::Command& cmd) {
+  w.Varint(0);
+  w.U8(static_cast<uint8_t>(Tag::kClientRequest));
+  cmd.EncodeTo(w);
+}
+
 bool Decode(codec::Reader& r, Message& out) {
   uint32_t shard = static_cast<uint32_t>(r.Varint());
   Tag tag = static_cast<Tag>(r.U8());

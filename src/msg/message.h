@@ -309,6 +309,9 @@ const char* TypeName(const Message& m);
 // nullopt on malformed input.
 void Encode(codec::Writer& w, const Message& m);
 bool Decode(codec::Reader& r, Message& out);
+// The bytes Encode writes for Message{ClientRequest{cmd}} (unsharded), without
+// copying the command into a message first (the client send path).
+void EncodeClientRequest(codec::Writer& w, const smr::Command& cmd);
 
 // Size of the encoded representation, used by the simulator's bandwidth/latency model.
 size_t EncodedSize(const Message& m);

@@ -11,7 +11,7 @@
 
 namespace rt {
 
-EventLoop::EventLoop() {
+EventLoop::EventLoop() : events_(64) {
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
   CHECK_GE(epoll_fd_, 0);
   wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
@@ -99,28 +99,38 @@ void EventLoop::DrainPosted() {
 
 void EventLoop::Run() {
   running_ = true;
-  std::vector<struct epoll_event> events(64);
   while (running_) {
-    int timeout_ms = -1;
-    common::Time now = NowUs();
-    while (!timers_.empty() && timers_.top().deadline <= now) {
-      Timer t = timers_.top();
-      timers_.pop();
-      t.cb();
-      now = NowUs();
+    RunOnce(-1);
+  }
+}
+
+void EventLoop::RunOnce(int max_wait_ms) {
+  common::Time now = NowUs();
+  bool fired = false;
+  while (!timers_.empty() && timers_.top().deadline <= now) {
+    Timer t = timers_.top();
+    timers_.pop();
+    t.cb();
+    fired = true;
+    now = NowUs();
+  }
+  // After timers ran, only poll: the owner may have output to flush before
+  // it sleeps.
+  int timeout_ms = fired ? 0 : max_wait_ms;
+  if (!timers_.empty()) {
+    int until_timer = static_cast<int>((timers_.top().deadline - now + 999) / 1000);
+    if (timeout_ms < 0 || until_timer < timeout_ms) {
+      timeout_ms = until_timer;
     }
-    if (!timers_.empty()) {
-      timeout_ms = static_cast<int>((timers_.top().deadline - now) / 1000) + 1;
-    }
-    int nfds = epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
-                          timeout_ms);
-    for (int i = 0; i < nfds && running_; i++) {
-      auto it = watches_.find(events[static_cast<size_t>(i)].data.fd);
-      if (it != watches_.end()) {
-        // Copy: the callback may unwatch (and erase) itself.
-        FdCallback cb = it->second.cb;
-        cb(events[static_cast<size_t>(i)].events);
-      }
+  }
+  int nfds = epoll_wait(epoll_fd_, events_.data(), static_cast<int>(events_.size()),
+                        timeout_ms);
+  for (int i = 0; i < nfds; i++) {
+    auto it = watches_.find(events_[static_cast<size_t>(i)].data.fd);
+    if (it != watches_.end()) {
+      // Copy: the callback may unwatch (and erase) itself.
+      FdCallback cb = it->second.cb;
+      cb(events_[static_cast<size_t>(i)].events);
     }
   }
 }

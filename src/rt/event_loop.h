@@ -1,9 +1,12 @@
 // Minimal epoll-based event loop: non-blocking fd callbacks + monotonic timers.
 //
-// Single-threaded by design (one loop per replica); Post() is only safe from the loop
-// thread, except PostFromAnyThread which uses an eventfd wakeup.
+// Single-threaded by design: one loop per thread (a node's I/O thread, and each
+// shard worker of the threaded runtime). Everything but PostFromAnyThread and
+// Stop must run on the loop's thread; those two use an eventfd wakeup.
 #ifndef SRC_RT_EVENT_LOOP_H_
 #define SRC_RT_EVENT_LOOP_H_
+
+#include <sys/epoll.h>
 
 #include <cstdint>
 #include <functional>
@@ -45,12 +48,21 @@ class EventLoop {
   void Run();   // until Stop()
   void Stop();  // thread-safe
 
+  // One pass: fires due timers, then waits for fd readiness — at most until
+  // the next timer, and at most max_wait_ms when that is non-negative; not at
+  // all when a timer fired — and dispatches it. Timer waits round up to whole
+  // milliseconds, so a pass never wakes before the deadline it waits for.
+  // Owners with their own main loop (the shard workers) call this instead of
+  // Run().
+  void RunOnce(int max_wait_ms);
+
  private:
   void DrainPosted();
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   bool running_ = false;
+  std::vector<epoll_event> events_;  // epoll_wait output, reused
 
   struct Watch {
     FdCallback cb;

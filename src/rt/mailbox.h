@@ -148,6 +148,9 @@ class Doorbell {
   // ring, and the re-check is what catches its item. (The seq_cst arm/ring pair
   // makes the push visible to that re-check.)
   void Arm() { armed_.store(true, std::memory_order_seq_cst); }
+  // Disarms after an epoll-integrated consumer woke for another reason, so
+  // producers go back to the syscall-free ring.
+  void Disarm() { armed_.store(false, std::memory_order_seq_cst); }
 
   // The eventfd, for consumers that integrate with an epoll loop instead of
   // blocking in Wait() (arm with Arm(), clear readiness with Drain()).

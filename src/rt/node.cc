@@ -1,7 +1,6 @@
 #include "src/rt/node.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -14,236 +13,121 @@
 
 #include "src/codec/codec.h"
 #include "src/common/check.h"
-#include "src/dur/frontier.h"
 #include "src/dur/shard_durability.h"
+#include "src/msg/message.h"
+#include "src/rt/wire.h"
 
 namespace rt {
 
 namespace {
 
-constexpr uint8_t kFrameMessage = 0;
-constexpr uint8_t kFramePeerHello = 1;
-constexpr uint8_t kFrameClientHello = 2;
-constexpr uint8_t kFrameCatchupReq = 3;
-constexpr uint8_t kFrameCatchupEntries = 4;
-
 constexpr common::Duration kRedialFloor = 50 * common::kMillisecond;
 constexpr common::Duration kRedialCap = common::kSecond;
 
-void SetNonBlocking(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  CHECK_GE(flags, 0);
-  CHECK_GE(fcntl(fd, F_SETFL, flags | O_NONBLOCK), 0);
-}
+// Batch-window timers carry (generation, shard) in one word, so the callback
+// fits std::function's inline storage.
+constexpr uint32_t kShardBits = smr::ShardedEngine::kShardBits;
 
-void SetNoDelay(int fd) {
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+sockaddr_in LoopbackAddr(const PeerAddress& a) {
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(a.port);
+  inet_pton(AF_INET, a.host.c_str(), &addr.sin_addr);
+  return addr;
 }
 
 }  // namespace
 
-// Framed, buffered, non-blocking TCP connection bound to a Node's event loop.
-class Connection {
- public:
-  Connection(Node* node, int fd) : node_(node), fd_(fd) {
-    SetNonBlocking(fd_);
-    SetNoDelay(fd_);
-    node_->loop_.WatchFd(fd_, EPOLLIN, [this](uint32_t events) { OnReady(events); });
-  }
-
-  ~Connection() {
-    if (fd_ >= 0) {
-      node_->loop_.UnwatchFd(fd_);
-      close(fd_);
-    }
-  }
-
-  void SendFrame(const std::vector<uint8_t>& payload) {
-    QueueFrame(payload);
-    Flush();
-  }
-
-  // Appends a frame to the write buffer without flushing. The threaded drain
-  // path queues every frame a drain pass produces, then flushes each dirty
-  // connection once — one write syscall per socket per pass, however many
-  // shards fed it.
-  void QueueFrame(const std::vector<uint8_t>& payload) {
-    uint8_t header[4];
-    uint32_t len = static_cast<uint32_t>(payload.size());
-    std::memcpy(header, &len, 4);
-    out_.insert(out_.end(), header, header + 4);
-    out_.insert(out_.end(), payload.begin(), payload.end());
-  }
-
-  void Flush() {
-    while (!out_.empty()) {
-      ssize_t n = write(fd_, out_.data(), out_.size());
-      if (n > 0) {
-        out_.erase(out_.begin(), out_.begin() + n);
-      } else {
-        if (errno != EAGAIN && errno != EWOULDBLOCK) {
-          closed_ = true;
-        }
-        break;
-      }
-    }
-    node_->loop_.ModifyFd(fd_, out_.empty() ? EPOLLIN : (EPOLLIN | EPOLLOUT));
-    if (closed_) {
-      node_->NoteClosed(this);
-    }
-  }
-
-  bool closed() const { return closed_; }
-  common::ProcessId peer_id = common::kInvalidProcess;  // set after peer hello
-  bool is_client = false;
-  bool dirty = false;  // queued frames awaiting the pass-end flush (threaded mode)
-
- private:
-  void OnReady(uint32_t events) {
-    if (events & EPOLLOUT) {
-      Flush();
-    }
-    if (events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
-      ReadAll();
-    }
-  }
-
-  void ReadAll() {
-    uint8_t buf[16 * 1024];
-    while (true) {
-      ssize_t n = read(fd_, buf, sizeof(buf));
-      if (n > 0) {
-        in_.insert(in_.end(), buf, buf + n);
-      } else if (n == 0) {
-        closed_ = true;
-        break;
-      } else {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          break;
-        }
-        closed_ = true;
-        break;
-      }
-    }
-    size_t off = 0;
-    while (in_.size() - off >= 4) {
-      uint32_t len;
-      std::memcpy(&len, in_.data() + off, 4);
-      if (len > 64u * 1024 * 1024) {  // sanity bound
-        closed_ = true;
-        break;
-      }
-      if (in_.size() - off - 4 < len) {
-        break;
-      }
-      node_->OnFrame(this, in_.data() + off + 4, len);
-      off += 4 + len;
-    }
-    if (off > 0) {
-      in_.erase(in_.begin(), in_.begin() + static_cast<ptrdiff_t>(off));
-    }
-    if (closed_) {
-      node_->NoteClosed(this);
-    }
-  }
-
-  Node* node_;
-  int fd_;
-  std::vector<uint8_t> in_;
-  std::vector<uint8_t> out_;
-  bool closed_ = false;
-};
-
 Node::Node(common::ProcessId id, std::vector<PeerAddress> peers,
            smr::Deployment* deployment)
-    : self_(id), peers_(std::move(peers)), deployment_(deployment) {
+    : self_(id), peers_(std::move(peers)), deployment_(deployment), lanes_(1) {
   CHECK_LT(self_, peers_.size());
   CHECK(deployment_ != nullptr);
-  if (deployment_->options().threaded) {
+  const smr::DeploymentOptions& d = deployment_->options();
+  if (d.threaded) {
+    lanes_ = deployment_->partitions();
+    // Submission batching as on the sharded inline path: enabled only at
+    // P > 1 (P = 1 stays the unbatched seed configuration).
+    batch_window_ = lanes_ > 1 ? d.batch_window : 0;
+    batch_max_ = d.batch_max;
+    batches_.resize(lanes_);
     ShardRuntime::Options ro;
-    ro.pin_cores = deployment_->options().pin_cores;
-    ro.mailbox_capacity = deployment_->options().mailbox_capacity;
+    ro.pin_cores = d.pin_cores;
+    ro.mailbox_capacity = d.mailbox_capacity;
     shards_ = std::make_unique<ShardRuntime>(deployment_, ro);
     shards_->set_output_notify([this]() { out_bell_.Ring(); });
+    shards_->set_peer_lost([this](uint32_t shard, common::ProcessId peer) {
+      loop_.PostFromAnyThread([this, shard, peer]() { OnShardPeerLost(shard, peer); });
+    });
     loop_.WatchFd(out_bell_.fd(), EPOLLIN, [this](uint32_t) { OnWorkerOutput(); });
     out_bell_.Arm();
   }
 }
 
 Node::~Node() {
+  if (shards_ != nullptr) {
+    shards_->Stop();
+  }
   if (listen_fd_ >= 0) {
     close(listen_fd_);
+  }
+  for (auto& [pl, fd] : dialing_) {
+    close(fd);
+  }
+  for (auto& [pl, held] : held_) {
+    close(held.fd);
   }
 }
 
 bool Node::Listen() {
-  listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   CHECK_GE(listen_fd_, 0);
   int one = 1;
   setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(peers_[self_].port);
-  if (bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0) {
+  sockaddr_in addr = LoopbackAddr(PeerAddress{"127.0.0.1", peers_[self_].port});
+  socklen_t len = sizeof(addr);
+  // With SO_REUSEADDR, listen() can still fail (EADDRINUSE) after bind
+  // succeeded; either way the caller gets false, not an abort.
+  if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      listen(listen_fd_, 64) != 0 ||
+      getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    close(listen_fd_);
+    listen_fd_ = -1;
     return false;
   }
-  if (peers_[self_].port == 0) {
-    socklen_t len = sizeof(addr);
-    getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr), &len);
-    peers_[self_].port = ntohs(addr.sin_port);
-  }
-  CHECK_EQ(listen(listen_fd_, 64), 0);
-  SetNonBlocking(listen_fd_);
+  peers_[self_].port = ntohs(addr.sin_port);
   loop_.WatchFd(listen_fd_, EPOLLIN, [this](uint32_t) { AcceptReady(); });
   return true;
 }
 
+void Node::set_peers(std::vector<PeerAddress> peers) {
+  CHECK_EQ(peers.size(), peers_.size());
+  peers_ = std::move(peers);
+}
+
 void Node::AcceptReady() {
   while (true) {
-    int fd = accept(listen_fd_, nullptr, nullptr);
+    int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       break;
     }
-    anonymous_.push_back(std::make_unique<Connection>(this, fd));
+    anonymous_.push_back(std::make_unique<Connection>(&loop_, fd, this));
   }
 }
 
 void Node::Run() {
   CHECK_GE(listen_fd_, 0);
-  // Dial peers with a higher id; retry until everyone is up.
   for (common::ProcessId p = self_ + 1; p < peers_.size(); p++) {
-    int fd = -1;
-    while (true) {
-      fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-      CHECK_GE(fd, 0);
-      struct sockaddr_in addr;
-      std::memset(&addr, 0, sizeof(addr));
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(peers_[p].port);
-      inet_pton(AF_INET, peers_[p].host.c_str(), &addr.sin_addr);
-      if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) == 0) {
-        break;
-      }
-      close(fd);
-      usleep(50 * 1000);
+    for (uint32_t lane = 0; lane < lanes_; lane++) {
+      DialPeer({p, lane});
     }
-    auto conn = std::make_unique<Connection>(this, fd);
-    // Send peer hello.
-    encode_scratch_.Clear();
-    encode_scratch_.U8(kFramePeerHello);
-    encode_scratch_.U32(self_);
-    conn->SendFrame(encode_scratch_.buffer());
-    conn->peer_id = p;
-    OnPeerConnected(p, std::move(conn));
   }
   MaybeStartEngine();
   loop_.Run();
   if (shards_ != nullptr) {
     // Join every shard worker before returning control to the caller (who may
-    // destroy the deployment), then push out whatever the workers produced
+    // destroy the deployment), then push out the replies the workers produced
     // between the last drain and the join.
     shards_->Stop();
     DrainShardOutputs();
@@ -251,44 +135,175 @@ void Node::Run() {
   }
 }
 
-void Node::OnPeerConnected(common::ProcessId peer, std::unique_ptr<Connection> conn) {
-  // A reconnect replaces any stale connection to the same peer; scrub every
-  // raw pointer to the old one before its unique_ptr frees it. An in-flight
-  // dial to that peer (it beat us to reconnecting) is abandoned too.
-  auto old = peer_conns_.find(peer);
-  if (old != peer_conns_.end() && old->second != nullptr) {
-    ForgetConn(old->second.get());
+void Node::Stop() { loop_.Stop(); }
+
+void Node::ResetPeerConnection(common::ProcessId peer, uint32_t shard) {
+  loop_.PostFromAnyThread([this, peer, shard]() {
+    if (shards_ == nullptr) {
+      auto it = peer_conns_.find(peer);
+      if (it != peer_conns_.end()) {
+        it->second->Shutdown();
+      }
+    } else if (engine_started_ && shard < lanes_) {
+      route_.kind = ShardInput::Kind::kReset;
+      route_.from = peer;
+      RouteInput(shard, route_);
+    }
+  });
+}
+
+// --- Mesh: dialing, hellos, hand-off --------------------------------------
+
+void Node::DialPeer(PeerLane pl) {
+  if (dialing_.count(pl) > 0 ||
+      (shards_ == nullptr && peer_conns_.count(pl.first) > 0)) {
+    return;  // already dialing, or (inline) the peer is connected
   }
-  auto dial = dialing_.find(peer);
+  int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
+  if (fd < 0) {
+    ScheduleRedial(pl);
+    return;
+  }
+  sockaddr_in addr = LoopbackAddr(peers_[pl.first]);
+  int rc = connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  if (rc != 0 && errno != EINPROGRESS) {
+    close(fd);
+    ScheduleRedial(pl);
+    return;
+  }
+  dialing_[pl] = fd;
+  loop_.WatchFd(fd, EPOLLOUT, [this, pl, fd](uint32_t) { OnDialReady(pl, fd); });
+}
+
+void Node::OnDialReady(PeerLane pl, int fd) {
+  loop_.UnwatchFd(fd);
+  dialing_.erase(pl);
+  int err = 0;
+  socklen_t len = sizeof(err);
+  // The hello is a few bytes on a fresh socket: it goes out whole or the
+  // connection is broken.
+  if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0 ||
+      !wire::SendPeerHello(fd, self_, pl.second)) {
+    close(fd);
+    ScheduleRedial(pl);
+    return;
+  }
+  if (shards_ == nullptr) {
+    auto conn = std::make_unique<Connection>(&loop_, fd, this);
+    conn->peer_id = pl.first;
+    AdoptPeerConnection(pl.first, std::move(conn));
+    return;
+  }
+  HandOffPeerSocket(pl, fd, std::string());
+  // The peer is up: dial its other lost lanes now instead of waiting out
+  // their backoff, so a restarted peer's mesh re-forms at once.
+  std::vector<PeerLane> waiting;
+  for (const auto& [other, backoff] : redial_backoff_) {
+    if (other.first == pl.first && dialing_.count(other) == 0) {
+      waiting.push_back(other);
+    }
+  }
+  for (const PeerLane& other : waiting) {
+    DialPeer(other);
+  }
+}
+
+void Node::OnPeerHello(Connection* conn, codec::Reader& r) {
+  common::ProcessId peer = r.U32();
+  uint32_t lane = r.U32();
+  if (!r.ok() || peer >= peers_.size() || peer == self_ || lane >= lanes_ ||
+      conn->is_client) {
+    return;
+  }
+  if (shards_ != nullptr) {
+    // The socket belongs to the lane's worker from here on, together with any
+    // frames the peer sent right behind its hello.
+    std::string unread;
+    int fd = conn->Release(&unread);
+    OnClosed(conn);  // reap the husk
+    HandOffPeerSocket({peer, lane}, fd, std::move(unread));
+    return;
+  }
+  conn->peer_id = peer;
+  for (auto& holder : anonymous_) {
+    if (holder.get() == conn) {
+      AdoptPeerConnection(peer, std::move(holder));
+      break;
+    }
+  }
+  anonymous_.erase(std::remove(anonymous_.begin(), anonymous_.end(), nullptr),
+                   anonymous_.end());
+}
+
+void Node::NotePeerUp(PeerLane pl) {
+  // An in-flight dial for the same connection (it beat us to reconnecting)
+  // is abandoned.
+  auto dial = dialing_.find(pl);
   if (dial != dialing_.end()) {
     loop_.UnwatchFd(dial->second);
     close(dial->second);
     dialing_.erase(dial);
   }
-  redial_backoff_.erase(peer);
+  redial_backoff_.erase(pl);
+}
+
+void Node::AdoptPeerConnection(common::ProcessId peer,
+                               std::unique_ptr<Connection> conn) {
+  NotePeerUp({peer, 0});
+  // A reconnect replaces any stale connection to the same peer; scrub every
+  // raw pointer to the old one before its unique_ptr frees it.
+  auto old = peer_conns_.find(peer);
+  if (old != peer_conns_.end()) {
+    ForgetConn(old->second.get());
+  }
   peer_conns_[peer] = std::move(conn);
   MaybeStartEngine();
 }
 
+void Node::HandOffPeerSocket(PeerLane pl, int fd, std::string unread) {
+  NotePeerUp(pl);
+  if (!engine_started_) {
+    // Held unread until the workers start: frames a faster peer sends wait in
+    // the kernel socket buffer.
+    HeldSocket& held = held_[pl];
+    if (held.fd >= 0) {
+      close(held.fd);
+    }
+    held.fd = fd;
+    held.unread = std::move(unread);
+    MaybeStartEngine();
+    return;
+  }
+  route_.kind = ShardInput::Kind::kPeer;
+  route_.from = pl.first;
+  route_.fd = fd;
+  route_.unread = std::move(unread);
+  RouteInput(pl.second, route_);
+}
+
 void Node::MaybeStartEngine() {
-  if (engine_started_ || peer_conns_.size() + 1 < peers_.size()) {
+  size_t peers_up = shards_ != nullptr ? held_.size() : peer_conns_.size();
+  if (engine_started_ || peers_up < (peers_.size() - 1) * lanes_) {
     return;
   }
   engine_started_ = true;
   if (shards_ != nullptr) {
-    // Threaded tier: each worker binds and starts its own shard engine on its
-    // own thread; the ShardedEngine wrapper (and this node's Context methods)
-    // stay out of the message path entirely. Workers apply recovered restart
-    // hints themselves, right after OnStart.
-    shards_->Start(self_, static_cast<uint32_t>(peers_.size()));
-    SendCatchupRequests();
-    ReplayPendingPeerFrames();
+    // Each worker binds and starts its own shard engine on its own thread,
+    // with its connections to that shard on every peer; workers apply
+    // recovered restart hints and advertise catch-up themselves.
+    std::vector<std::vector<ShardRuntime::PeerSocket>> sockets(lanes_);
+    for (auto& [pl, held] : held_) {
+      sockets[pl.second].push_back(
+          ShardRuntime::PeerSocket{pl.first, held.fd, std::move(held.unread)});
+    }
+    held_.clear();
+    shards_->Start(self_, static_cast<uint32_t>(peers_.size()), std::move(sockets));
     for (smr::Command& cmd : pending_submits_) {
       uint32_t shard = 0;
       if (deployment_->partitions() > 1) {
         deployment_->partitioner().SingleShard(cmd, &shard);  // validated at OnFrame
       }
-      RouteInput(common::kInvalidProcess, nullptr, shard, &cmd);
+      SubmitToShard(shard, cmd);
     }
     pending_submits_.clear();
     return;
@@ -305,6 +320,113 @@ void Node::MaybeStartEngine() {
     deployment_->engine().Submit(std::move(cmd));
   }
   pending_submits_.clear();
+}
+
+// --- Frames (I/O thread) ---------------------------------------------------
+
+void Node::OnFrame(Connection* conn, const uint8_t* data, size_t size) {
+  codec::Reader r(data, size);
+  uint8_t kind = r.U8();
+  if (kind == wire::kFramePeerHello) {
+    OnPeerHello(conn, r);
+    return;
+  }
+  if (kind == wire::kFrameClientHello) {
+    conn->is_client = conn->peer_id == common::kInvalidProcess;
+    return;
+  }
+  if (conn->peer_id != common::kInvalidProcess) {
+    // Inline mode only: threaded peer sockets never reach this thread.
+    if (!engine_started_) {
+      BufferPeerFrame(conn->peer_id, data, size);
+    } else {
+      HandlePeerFrame(conn->peer_id, r, kind);
+    }
+    return;
+  }
+  msg::Message m;
+  if (!conn->is_client || kind != wire::kFrameMessage || !msg::Decode(r, m)) {
+    return;
+  }
+  auto* req = msg::get_if<msg::ClientRequest>(&m);
+  if (req == nullptr) {
+    return;
+  }
+  // kBatch is an internal composite (built by the sharded submission path,
+  // client 0): an untrusted client injecting one would crash the whole cluster
+  // at the deployment's unpack CHECK once it replicated. Reject it at the
+  // door, at any partition count.
+  bool unroutable = req->cmd.is_batch();
+  uint32_t shard = 0;
+  if (!unroutable && deployment_->partitions() > 1) {
+    // Partition-aware routing: validate against the deployment's Partitioner
+    // before the command reaches an engine. Unroutable input from an
+    // untrusted client (noOps, key sets spanning partitions) is rejected as
+    // dropped instead of CHECK-crashing the replica. P=1 submits verbatim,
+    // exactly as the seeded runtime did.
+    unroutable = !deployment_->partitioner().SingleShard(req->cmd, &shard);
+  }
+  if (unroutable) {
+    // Reply directly on this connection: going through waiting_clients_
+    // could clobber an in-flight entry reusing the same (client, seq).
+    SendReply(conn, req->cmd.client, req->cmd.seq, "", /*dropped=*/true);
+    return;
+  }
+  chk::CmdKey key{req->cmd.client, req->cmd.seq};
+  if (deployment_->durable()) {
+    // Idempotent resubmission: a client that reconnected after its socket
+    // died re-sends its last command. If it already completed, answer from
+    // the completion cache instead of re-executing; if it is still in flight,
+    // just re-point the reply at the new connection.
+    auto done = client_done_.find(req->cmd.client);
+    if (done != client_done_.end() && req->cmd.seq <= done->second.first) {
+      SendReply(conn, req->cmd.client, req->cmd.seq,
+                req->cmd.seq == done->second.first ? std::string(done->second.second)
+                                                   : std::string(),
+                /*dropped=*/false);
+      return;
+    }
+    if (in_flight_.find(key) != in_flight_.end()) {
+      waiting_clients_[key] = conn;
+      return;
+    }
+    in_flight_.insert(key);
+  }
+  waiting_clients_[key] = conn;
+  if (!engine_started_) {
+    pending_submits_.push_back(std::move(req->cmd));
+  } else if (shards_ != nullptr) {
+    SubmitToShard(shard, req->cmd);
+  } else {
+    deployment_->engine().Submit(std::move(req->cmd));
+  }
+}
+
+void Node::HandlePeerFrame(common::ProcessId from, codec::Reader& r, uint8_t kind) {
+  switch (kind) {
+    case wire::kFrameMessage: {
+      msg::Message m;
+      if (msg::Decode(r, m)) {
+        deployment_->engine().OnMessage(from, m);
+      }
+      break;
+    }
+    case wire::kFrameCatchupReq:
+      HandleCatchupRequest(from, r);
+      break;
+    case wire::kFrameCatchupEntries:
+      // The normal executed path: the durable admit filter deduplicates
+      // entries our own log replay (or another peer's stream) already covered.
+      wire::ForEachCatchupEntry(
+          r, [this](uint64_t shard, const common::Dot& dot, const smr::Command& cmd) {
+            if (shard < deployment_->partitions()) {
+              Executed(dot, cmd);
+            }
+          });
+      break;
+    default:
+      break;
+  }
 }
 
 void Node::BufferPeerFrame(common::ProcessId from, const uint8_t* data,
@@ -326,28 +448,7 @@ void Node::ReplayPendingPeerFrames() {
   for (PendingPeerFrame& f : frames) {
     codec::Reader r(f.bytes.data(), f.bytes.size());
     uint8_t kind = r.U8();
-    switch (kind) {
-      case kFrameMessage: {
-        msg::Message m;
-        if (!msg::Decode(r, m)) {
-          break;
-        }
-        if (shards_ != nullptr) {
-          RouteInput(f.from, &m, /*shard=*/0, nullptr);
-        } else {
-          deployment_->engine().OnMessage(f.from, m);
-        }
-        break;
-      }
-      case kFrameCatchupReq:
-        HandleCatchupRequest(r);
-        break;
-      case kFrameCatchupEntries:
-        HandleCatchupEntries(r);
-        break;
-      default:
-        break;
-    }
+    HandlePeerFrame(f.from, r, kind);
   }
 }
 
@@ -358,276 +459,48 @@ void Node::SendCatchupRequests() {
   }
   catchup_requested_ = true;
   const smr::Deployment::CatchupAdvert& adv = deployment_->catchup_advert();
-  encode_scratch_.Clear();
-  encode_scratch_.U8(kFrameCatchupReq);
-  encode_scratch_.U32(self_);
-  encode_scratch_.Varint(adv.shards.size());
-  for (const auto& s : adv.shards) {
-    encode_scratch_.Varint(s.seq_floor);
-    encode_scratch_.Bytes(s.frontier);
-  }
   for (auto& [p, conn] : peer_conns_) {
-    if (conn != nullptr && !conn->closed()) {
-      conn->SendFrame(encode_scratch_.buffer());
+    for (uint32_t s = 0; s < adv.shards.size(); s++) {
+      encode_scratch_.Clear();
+      wire::EncodeCatchupRequest(encode_scratch_, s, adv.shards[s].seq_floor,
+                                 adv.shards[s].frontier);
+      conn->QueueFrame(encode_scratch_.buffer());
     }
+    conn->Flush();
   }
 }
 
-void Node::OnFrame(Connection* conn, const uint8_t* data, size_t size) {
-  codec::Reader r(data, size);
-  uint8_t kind = r.U8();
-  switch (kind) {
-    case kFramePeerHello: {
-      common::ProcessId peer = r.U32();
-      if (!r.ok() || peer >= peers_.size()) {
-        return;
-      }
-      conn->peer_id = peer;
-      // Move from anonymous_ into peer_conns_.
-      for (auto& holder : anonymous_) {
-        if (holder.get() == conn) {
-          OnPeerConnected(peer, std::move(holder));
-          holder = nullptr;
-          break;
-        }
-      }
-      anonymous_.erase(std::remove(anonymous_.begin(), anonymous_.end(), nullptr),
-                       anonymous_.end());
-      break;
-    }
-    case kFrameClientHello:
-      conn->is_client = true;
-      break;
-    case kFrameMessage: {
-      msg::Message m;
-      if (!msg::Decode(r, m)) {
-        return;
-      }
-      if (conn->is_client) {
-        if (auto* req = msg::get_if<msg::ClientRequest>(&m)) {
-          // kBatch is an internal composite (built by the sharded submission
-          // path, client 0): an untrusted client injecting one would crash the
-          // whole cluster at the deployment's unpack CHECK once it replicated.
-          // Reject it at the door, at any partition count.
-          bool unroutable = req->cmd.is_batch();
-          uint32_t shard = 0;
-          if (!unroutable && deployment_->partitions() > 1) {
-            // Partition-aware routing: validate against the deployment's
-            // Partitioner before the command reaches an engine. A routable
-            // command lands directly on its shard's engine inside
-            // ShardedEngine::Submit — no extra hop. Unroutable input from an
-            // untrusted client (noOps, key sets spanning partitions) is
-            // rejected as dropped instead of CHECK-crashing the replica. P=1
-            // submits verbatim, exactly as the seeded runtime did.
-            unroutable = !deployment_->partitioner().SingleShard(req->cmd, &shard);
-          }
-          if (unroutable) {
-            // Reply directly on this connection: going through waiting_clients_
-            // could clobber an in-flight entry reusing the same (client, seq).
-            SendReply(conn, req->cmd.client, req->cmd.seq, "", /*dropped=*/true);
-            return;
-          }
-          chk::CmdKey key{req->cmd.client, req->cmd.seq};
-          if (deployment_->durable()) {
-            // Idempotent resubmission: a client that reconnected after its
-            // socket died re-sends its last command. If it already completed,
-            // answer from the completion cache instead of re-executing; if it
-            // is still in flight, just re-point the reply at the new
-            // connection.
-            auto done = client_done_.find(req->cmd.client);
-            if (done != client_done_.end() && req->cmd.seq <= done->second.first) {
-              SendReply(conn, req->cmd.client, req->cmd.seq,
-                        req->cmd.seq == done->second.first
-                            ? std::string(done->second.second)
-                            : std::string(),
-                        /*dropped=*/false);
-              return;
-            }
-            if (in_flight_.find(key) != in_flight_.end()) {
-              waiting_clients_[key] = conn;
-              return;
-            }
-            in_flight_.insert(key);
-          }
-          waiting_clients_[key] = conn;
-          if (engine_started_) {
-            if (shards_ != nullptr) {
-              RouteInput(common::kInvalidProcess, nullptr, shard, &req->cmd);
-            } else {
-              deployment_->engine().Submit(req->cmd);
-            }
-          } else {
-            pending_submits_.push_back(req->cmd);
-          }
-        }
-        return;
-      }
-      if (conn->peer_id != common::kInvalidProcess) {
-        if (!engine_started_) {
-          BufferPeerFrame(conn->peer_id, data, size);
-        } else if (shards_ != nullptr) {
-          RouteInput(conn->peer_id, &m, /*shard=*/0, nullptr);
-        } else {
-          deployment_->engine().OnMessage(conn->peer_id, m);
-        }
-      }
-      break;
-    }
-    case kFrameCatchupReq:
-      if (conn->peer_id != common::kInvalidProcess) {
-        if (!engine_started_) {
-          BufferPeerFrame(conn->peer_id, data, size);
-        } else {
-          HandleCatchupRequest(r);
-        }
-      }
-      break;
-    case kFrameCatchupEntries:
-      if (conn->peer_id != common::kInvalidProcess) {
-        if (!engine_started_) {
-          BufferPeerFrame(conn->peer_id, data, size);
-        } else {
-          HandleCatchupEntries(r);
-        }
-      }
-      break;
-    default:
-      break;
+void Node::HandleCatchupRequest(common::ProcessId from, codec::Reader& r) {
+  wire::CatchupRequest req;
+  if (!wire::DecodeCatchupRequest(r, &req) || req.shard >= deployment_->partitions()) {
+    return;
   }
+  deployment_->shard_engine(req.shard).OnRestore(from, req.seq_floor);
+  dur::ShardDurability* d = deployment_->durability(req.shard);
+  auto it = peer_conns_.find(from);
+  if (d == nullptr || it == peer_conns_.end()) {
+    return;  // requester vanished again; it will re-request on its next start
+  }
+  Connection* conn = it->second.get();
+  wire::StreamCatchup(*d, req.shard, req.frontier,
+                      [conn](const std::vector<uint8_t>& payload) {
+                        conn->QueueFrame(payload);
+                      });
+  conn->Flush();
 }
 
-void Node::HandleCatchupRequest(codec::Reader& r) {
-  common::ProcessId requester = r.U32();
-  uint64_t nshards = r.Varint();
-  if (!r.ok() || requester >= peers_.size() ||
-      nshards != deployment_->partitions()) {
-    return;
-  }
-  std::vector<uint64_t> floors(nshards);
-  std::vector<std::string> frontiers(nshards);
-  for (uint64_t s = 0; s < nshards; s++) {
-    floors[s] = r.Varint();
-    frontiers[s] = r.Bytes();
-  }
-  if (!r.ok()) {
-    return;
-  }
-  if (shards_ != nullptr) {
-    // Each shard worker OnRestore()s its engine and streams the missing log
-    // records back as kCatchup outputs. Same bounded-retry discipline as
-    // RouteInput: drain outboxes while an inbox is full, then give up (the
-    // requester simply stays behind until protocol recovery catches it up).
-    for (uint32_t s = 0; s < nshards; s++) {
-      constexpr int kMaxSpins = 200000;
-      for (int spin = 0;; spin++) {
-        if (shards_->RouteCatchupRequest(s, requester, floors[s], frontiers[s])) {
-          break;
-        }
-        if (DrainShardOutputs() > 0) {
-          FlushDirty();
-        }
-        if (spin >= kMaxSpins) {
-          shards_->CountDroppedInput();
-          break;
-        }
-        std::this_thread::yield();
-      }
-    }
-    return;
-  }
-  // Single-driver mode: restore notification + streaming happen inline.
-  std::vector<smr::RestartHint> hints(nshards);
-  for (uint64_t s = 0; s < nshards; s++) {
-    hints[s].seq_floor = floors[s];
-  }
-  deployment_->NotifyRestore(requester, hints);
-  if (!deployment_->durable()) {
-    return;
-  }
-  for (uint32_t s = 0; s < nshards; s++) {
-    dur::ShardDurability* d = deployment_->durability(s);
-    if (d == nullptr) {
-      continue;
-    }
-    dur::DotFrontier have;
-    codec::Reader fr(reinterpret_cast<const uint8_t*>(frontiers[s].data()),
-                     frontiers[s].size());
-    have.DecodeFrom(fr);  // malformed decodes empty: over-stream, peer dedups
-    constexpr size_t kEntriesPerFrame = 256;
-    codec::Writer entries;
-    size_t count = 0;
-    auto flush = [&]() {
-      if (count == 0) {
-        return;
-      }
-      codec::Writer payload;
-      payload.Varint(s);
-      payload.Varint(count);
-      std::string body(reinterpret_cast<const char*>(payload.buffer().data()),
-                       payload.buffer().size());
-      body.append(reinterpret_cast<const char*>(entries.buffer().data()),
-                  entries.buffer().size());
-      OnCatchupFrame(requester, std::move(body));
-      entries.Clear();
-      count = 0;
-    };
-    d->StreamMissing(have, [&](const common::Dot& dot, const smr::Command& cmd) {
-      entries.Dot(dot);
-      cmd.EncodeTo(entries);
-      if (++count >= kEntriesPerFrame) {
-        flush();
-      }
-    });
-    flush();
-  }
-  FlushDirty();
-}
-
-void Node::HandleCatchupEntries(codec::Reader& r) {
-  uint64_t shard = r.Varint();
-  uint64_t count = r.Varint();
-  if (!r.ok() || shard >= deployment_->partitions()) {
-    return;
-  }
-  for (uint64_t i = 0; i < count; i++) {
-    common::Dot dot = r.Dot();
-    smr::Command cmd = smr::Command::Decode(r);
-    if (!r.ok() || !dot.valid()) {
-      return;
-    }
-    if (shards_ != nullptr) {
-      constexpr int kMaxSpins = 200000;
-      for (int spin = 0;; spin++) {
-        if (shards_->RouteCatchupEntry(static_cast<uint32_t>(shard), dot, cmd)) {
-          break;
-        }
-        if (DrainShardOutputs() > 0) {
-          FlushDirty();
-        }
-        if (spin >= kMaxSpins) {
-          shards_->CountDroppedInput();
-          break;
-        }
-        std::this_thread::yield();
-      }
-    } else {
-      // The normal executed path: the durable admit filter deduplicates
-      // entries our own log replay (or another peer's stream) already covered.
-      Executed(dot, cmd);
-    }
-  }
-}
+// --- Inline-mode smr::Context ---------------------------------------------
 
 void Node::Send(common::ProcessId to, msg::Message m) {
   auto it = peer_conns_.find(to);
-  if (it == peer_conns_.end() || it->second == nullptr || it->second->closed()) {
+  if (it == peer_conns_.end() || it->second->closed()) {
     return;  // peer down; engines tolerate message loss
   }
   // Reuse the encode scratch (clear-not-reallocate), pre-sized so Encode never
   // reallocates mid-message; SendFrame copies into the connection's write buffer.
   encode_scratch_.Clear();
   encode_scratch_.Reserve(1 + msg::EncodedSize(m));
-  encode_scratch_.U8(kFrameMessage);
+  encode_scratch_.U8(wire::kFrameMessage);
   msg::Encode(encode_scratch_, m);
   it->second->SendFrame(encode_scratch_.buffer());
 }
@@ -661,6 +534,8 @@ void Node::Dropped(const common::Dot& dot, const smr::Command& original) {
   });
 }
 
+// --- Client replies --------------------------------------------------------
+
 void Node::CompleteClient(uint64_t client, uint64_t seq,
                           const std::string& value, bool dropped) {
   if (!deployment_->durable() || client == 0) {
@@ -678,7 +553,7 @@ void Node::CompleteClient(uint64_t client, uint64_t seq,
 }
 
 void Node::ReplyToClient(uint64_t client, uint64_t seq, std::string&& value,
-                         bool dropped) {
+                         bool dropped, bool flush) {
   // Completion bookkeeping runs whether or not a client is waiting here:
   // catch-up entries and commands submitted via a since-dead connection still
   // complete, and a reconnecting client must find their cached results.
@@ -689,7 +564,12 @@ void Node::ReplyToClient(uint64_t client, uint64_t seq, std::string&& value,
   }
   Connection* conn = it->second;
   waiting_clients_.erase(it);
-  SendReply(conn, client, seq, std::move(value), dropped);
+  SendReply(conn, client, seq, std::move(value), dropped, flush);
+}
+
+void Node::OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
+                         bool dropped) {
+  ReplyToClient(client, seq, std::move(value), dropped, /*flush=*/false);
 }
 
 void Node::SendReply(Connection* conn, uint64_t client, uint64_t seq,
@@ -703,7 +583,7 @@ void Node::SendReply(Connection* conn, uint64_t client, uint64_t seq,
   reply.value = std::move(value);
   reply.dropped = dropped;
   encode_scratch_.Clear();
-  encode_scratch_.U8(kFrameMessage);
+  encode_scratch_.U8(wire::kFrameMessage);
   msg::Encode(encode_scratch_, msg::Message{reply});
   if (flush) {
     conn->SendFrame(encode_scratch_.buffer());
@@ -715,25 +595,59 @@ void Node::SendReply(Connection* conn, uint64_t client, uint64_t seq,
 
 // --- Threaded-mode I/O tier ------------------------------------------------
 
-void Node::RouteInput(common::ProcessId from, msg::Message* m, uint32_t shard,
-                      smr::Command* cmd) {
+void Node::SubmitToShard(uint32_t shard, smr::Command& cmd) {
+  if (batch_window_ == 0) {
+    route_.kind = ShardInput::Kind::kSubmit;
+    route_.cmd = std::move(cmd);
+    RouteInput(shard, route_);
+    return;
+  }
+  ShardBatch& b = batches_[shard];
+  b.cmds.push_back(std::move(cmd));
+  if (b.cmds.size() >= batch_max_) {
+    FlushBatch(shard);
+  } else if (b.cmds.size() == 1) {
+    uint64_t token = (b.generation << kShardBits) | shard;
+    loop_.AddTimer(batch_window_, [this, token]() {
+      uint32_t s = static_cast<uint32_t>(token & ((1u << kShardBits) - 1));
+      if (batches_[s].generation == token >> kShardBits) {
+        FlushBatch(s);
+      }
+    });
+  }
+}
+
+void Node::FlushBatch(uint32_t shard) {
+  ShardBatch& b = batches_[shard];
+  b.generation++;
+  if (b.cmds.empty()) {
+    return;
+  }
+  if (b.cmds.size() == 1) {
+    route_.cmd = std::move(b.cmds[0]);
+  } else {
+    smr::MakeBatchInto(b.cmds, batch_writer_, route_.cmd, &batch_pool_);
+  }
+  b.cmds.clear();
+  route_.kind = ShardInput::Kind::kSubmit;
+  RouteInput(shard, route_);
+}
+
+void Node::RouteInput(uint32_t shard, ShardInput& in) {
   // Bounded retry, never a blocking wait: a full inbox with a live worker
-  // drains in microseconds once we stop hogging the core; a dead worker's
-  // inbox swallows input inside the runtime. Draining outboxes between
-  // attempts keeps the worker from stalling on a full *outbox* while we spin
-  // on its inbox (the deadlock the mailbox discipline forbids).
+  // drains in microseconds once we stop hogging the core. Draining outboxes
+  // between attempts keeps the worker from stalling on a full *outbox* while
+  // we spin on its inbox (the deadlock the mailbox discipline forbids).
   constexpr int kMaxSpins = 200000;
   for (int spin = 0;; spin++) {
-    bool ok = m != nullptr ? shards_->RouteMessage(from, *m)
-                           : shards_->SubmitToShard(shard, *cmd);
-    if (ok) {
+    if (shards_->Push(shard, in)) {
       return;
     }
     if (DrainShardOutputs() > 0) {
       FlushDirty();
     }
     if (spin >= kMaxSpins) {
-      shards_->CountDroppedInput();
+      shards_->DropInput(in);
       return;
     }
     std::this_thread::yield();
@@ -756,48 +670,24 @@ void Node::OnWorkerOutput() {
 
 size_t Node::DrainShardOutputs() { return shards_->DrainOutputs(*this); }
 
-void Node::OnPeerSend(common::ProcessId to, msg::Message& m) {
-  auto it = peer_conns_.find(to);
-  if (it == peer_conns_.end() || it->second == nullptr || it->second->closed()) {
-    return;  // peer down; engines tolerate message loss
+void Node::MarkDirty(Connection* conn) {
+  if (!conn->dirty) {
+    conn->dirty = true;
+    dirty_conns_.push_back(conn);
   }
-  encode_scratch_.Clear();
-  encode_scratch_.Reserve(1 + msg::EncodedSize(m));
-  encode_scratch_.U8(kFrameMessage);
-  msg::Encode(encode_scratch_, m);
-  it->second->QueueFrame(encode_scratch_.buffer());
-  MarkDirty(it->second.get());
 }
 
-void Node::OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
-                         bool dropped) {
-  CompleteClient(client, seq, value, dropped);
-  auto it = waiting_clients_.find(chk::CmdKey{client, seq});
-  if (it == waiting_clients_.end()) {
-    return;
+void Node::FlushDirty() {
+  for (Connection* conn : dirty_conns_) {
+    conn->dirty = false;
+    conn->Flush();
   }
-  Connection* conn = it->second;
-  waiting_clients_.erase(it);
-  SendReply(conn, client, seq, std::move(value), dropped, /*flush=*/false);
-}
-
-void Node::OnCatchupFrame(common::ProcessId to, std::string&& payload) {
-  auto it = peer_conns_.find(to);
-  if (it == peer_conns_.end() || it->second == nullptr || it->second->closed()) {
-    return;  // requester vanished again; it will re-request on its next start
-  }
-  std::vector<uint8_t> frame;
-  frame.reserve(1 + payload.size());
-  frame.push_back(kFrameCatchupEntries);
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  it->second->QueueFrame(frame);
-  MarkDirty(it->second.get());
+  dirty_conns_.clear();
 }
 
 // --- Connection loss, reaping and re-dialing --------------------------------
 
-void Node::NoteClosed(Connection* conn) {
-  (void)conn;
+void Node::OnClosed(Connection* conn) {
   if (reap_scheduled_) {
     return;
   }
@@ -835,95 +725,43 @@ void Node::ReapConnections() {
   anonymous_.erase(std::remove(anonymous_.begin(), anonymous_.end(), nullptr),
                    anonymous_.end());
   for (auto it = peer_conns_.begin(); it != peer_conns_.end();) {
-    if (it->second != nullptr && it->second->closed()) {
+    if (it->second->closed()) {
       common::ProcessId peer = it->first;
       ForgetConn(it->second.get());
       it = peer_conns_.erase(it);
-      if (peer > self_) {
-        // Mesh rule: this node dials higher ids; the lost lower-id peer will
-        // re-dial us when it notices the loss (or restarts).
-        ScheduleRedial(peer);
-      }
+      ScheduleRedial({peer, 0});
     } else {
       ++it;
     }
   }
 }
 
-void Node::ScheduleRedial(common::ProcessId p) {
-  if (dialing_.find(p) != dialing_.end() ||
-      peer_conns_.find(p) != peer_conns_.end()) {
+void Node::OnShardPeerLost(uint32_t shard, common::ProcessId peer) {
+  if (!shards_->stopped(shard)) {
+    ScheduleRedial({peer, shard});
+  }
+}
+
+void Node::ScheduleRedial(PeerLane pl) {
+  // Mesh rule: this node dials higher ids; a lost lower-id peer re-dials us
+  // when it notices the loss (or restarts).
+  if (pl.first < self_ || dialing_.count(pl) > 0) {
     return;
   }
   common::Duration delay = kRedialFloor;
-  auto it = redial_backoff_.find(p);
+  auto it = redial_backoff_.find(pl);
   if (it != redial_backoff_.end()) {
     delay = it->second;
   }
-  redial_backoff_[p] = std::min<common::Duration>(delay * 2, kRedialCap);
-  loop_.AddTimer(delay, [this, p]() { DialPeer(p); });
+  redial_backoff_[pl] = std::min<common::Duration>(delay * 2, kRedialCap);
+  loop_.AddTimer(delay, [this, pl]() {
+    // A backoff entry marks a lane still waiting for its connection; it is
+    // gone once the lane reconnected (maybe through an earlier dial).
+    if (redial_backoff_.count(pl) > 0) {
+      DialPeer(pl);
+    }
+  });
 }
-
-void Node::DialPeer(common::ProcessId p) {
-  if (dialing_.find(p) != dialing_.end() ||
-      peer_conns_.find(p) != peer_conns_.end()) {
-    return;  // the peer reconnected to us while we were backing off
-  }
-  int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
-  if (fd < 0) {
-    ScheduleRedial(p);
-    return;
-  }
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(peers_[p].port);
-  inet_pton(AF_INET, peers_[p].host.c_str(), &addr.sin_addr);
-  int rc = connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr));
-  if (rc != 0 && errno != EINPROGRESS) {
-    close(fd);
-    ScheduleRedial(p);
-    return;
-  }
-  dialing_[p] = fd;
-  loop_.WatchFd(fd, EPOLLOUT, [this, p, fd](uint32_t) { OnDialReady(p, fd); });
-}
-
-void Node::OnDialReady(common::ProcessId p, int fd) {
-  loop_.UnwatchFd(fd);
-  dialing_.erase(p);
-  int err = 0;
-  socklen_t len = sizeof(err);
-  if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 || err != 0) {
-    close(fd);
-    ScheduleRedial(p);
-    return;
-  }
-  auto conn = std::make_unique<Connection>(this, fd);
-  encode_scratch_.Clear();
-  encode_scratch_.U8(kFramePeerHello);
-  encode_scratch_.U32(self_);
-  conn->SendFrame(encode_scratch_.buffer());
-  conn->peer_id = p;
-  OnPeerConnected(p, std::move(conn));
-}
-
-void Node::MarkDirty(Connection* conn) {
-  if (!conn->dirty) {
-    conn->dirty = true;
-    dirty_conns_.push_back(conn);
-  }
-}
-
-void Node::FlushDirty() {
-  for (Connection* conn : dirty_conns_) {
-    conn->dirty = false;
-    conn->Flush();
-  }
-  dirty_conns_.clear();
-}
-
-void Node::Stop() { loop_.Stop(); }
 
 // ---------------------------------------------------------------------------
 
@@ -948,43 +786,31 @@ bool Client::Connect() {
   if (fd_ < 0) {
     return false;
   }
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port_);
-  inet_pton(AF_INET, host_.c_str(), &addr.sin_addr);
-  if (connect(fd_, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0) {
+  sockaddr_in addr = LoopbackAddr(PeerAddress{host_, port_});
+  if (connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     close(fd_);
     fd_ = -1;
     return false;
   }
-  SetNoDelay(fd_);
-  // Client hello frame.
-  codec::Writer w;
-  w.U8(kFrameClientHello);
-  uint32_t len = static_cast<uint32_t>(w.size());
-  std::vector<uint8_t> out(4);
-  std::memcpy(out.data(), &len, 4);
-  out.insert(out.end(), w.buffer().begin(), w.buffer().end());
-  return write(fd_, out.data(), out.size()) == static_cast<ssize_t>(out.size());
+  int one = 1;
+  setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  frame_.Clear();
+  size_t at = wire::BeginFrame(frame_);
+  frame_.U8(wire::kFrameClientHello);
+  wire::EndFrame(frame_, at);
+  return wire::SendAll(fd_, frame_.buffer().data(), frame_.size());
 }
 
 bool Client::Send(const smr::Command& cmd) {
   if (fd_ < 0) {
     return false;
   }
-  msg::ClientRequest req;
-  req.cmd = cmd;
-  codec::Writer w;
-  msg::Message wrapped{std::move(req)};
-  w.Reserve(1 + msg::EncodedSize(wrapped));
-  w.U8(kFrameMessage);
-  msg::Encode(w, wrapped);
-  uint32_t len = static_cast<uint32_t>(w.size());
-  std::vector<uint8_t> out(4);
-  std::memcpy(out.data(), &len, 4);
-  out.insert(out.end(), w.buffer().begin(), w.buffer().end());
-  return write(fd_, out.data(), out.size()) == static_cast<ssize_t>(out.size());
+  frame_.Clear();
+  size_t at = wire::BeginFrame(frame_);
+  frame_.U8(wire::kFrameMessage);
+  msg::EncodeClientRequest(frame_, cmd);
+  wire::EndFrame(frame_, at);
+  return wire::SendAll(fd_, frame_.buffer().data(), frame_.size());
 }
 
 bool Client::RecvReply(uint64_t* seq_out, std::string* result_out) {
@@ -997,7 +823,7 @@ bool Client::RecvReply(uint64_t* seq_out, std::string* result_out) {
       std::memcpy(&frame_len, in_.data(), 4);
       if (in_.size() - 4 >= frame_len) {
         codec::Reader r(in_.data() + 4, frame_len);
-        if (r.U8() != kFrameMessage) {
+        if (r.U8() != wire::kFrameMessage) {
           return false;
         }
         msg::Message m;

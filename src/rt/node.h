@@ -1,39 +1,31 @@
 // Real-runtime replica node: runs one smr::Deployment — bare or sharded — over TCP.
 //
-// A node listens on one port for both peer and client connections; frames are
-// 4-byte little-endian length + codec-encoded payload:
-//   message:         [u8 = 0][msg::Message]
-//   peer hello:      [u8 = 1][u32 sender_id]
-//   client hello:    [u8 = 2]
-//   catch-up request [u8 = 3][u32 requester][varint nshards]
-//                    [per shard: varint seq_floor, bytes(frontier)]
-//   catch-up entries [u8 = 4][varint shard][varint count][count x (dot, cmd)]
-// Peers form a full mesh (node i dials every peer j > i; lower ids accept). Client
-// ClientRequest commands are routed through the deployment's smr::Partitioner —
-// on sharded replicas the command lands directly on its partition's engine, with
-// no extra hop — and the reply is sent when the command executes locally. The
-// message envelope's shard tag and the shard-tagged timer tokens both round-trip
-// through the node unchanged.
+// A node listens on one port for both peer and client connections (frame
+// format: src/rt/wire.h). Peers form a full mesh: node i dials every peer
+// j > i; lower ids accept. Client ClientRequest commands are routed through the
+// deployment's smr::Partitioner and the reply is sent when the command
+// executes locally.
 //
 // Two execution modes, selected by smr::DeploymentOptions::threaded:
-//   * single-driver (default): the epoll thread drives every shard engine
-//     inline, exactly as the simulator harness does;
-//   * thread-per-shard: the epoll thread becomes a pure I/O tier — it decodes
-//     envelopes, routes them by shard tag into SPSC mailboxes feeding one
-//     worker thread per shard (src/rt/shard_runtime.h), and drains worker
-//     output back out, coalescing outbound frames so each socket is written
-//     at most once per drain pass no matter how many shards fed it.
+//   * inline (default): the epoll thread drives every shard engine itself,
+//     exactly as the simulator harness does, over one connection per peer;
+//   * thread-per-shard: one worker thread per shard (src/rt/shard_runtime.h)
+//     owns that shard's engine *and* its own connection to the same shard on
+//     every peer, so protocol traffic never crosses the epoll thread. The
+//     epoll thread keeps the listen socket and the client connections, dials
+//     and re-dials every (peer, shard) connection and hands each one to its
+//     shard's worker, and batches each shard's client commands for the batch
+//     window before handing the worker one kBatch composite.
 //
-// Fault tolerance: a lost peer socket is reaped and re-dialed with backoff
-// (the dialing side per the mesh rule above; the accepting side waits for the
-// fresh hello). A node constructed over a non-empty data_dir recovers its
-// stores from disk (snapshot + log tail, see src/dur), then — once the mesh
-// re-forms — advertises its per-shard executed-dot frontiers to every peer;
-// peers stream back the commits it missed, which apply through the normal
-// executed path (the durable admit filter deduplicates). Clients that vanish
-// mid-request are reaped too; on durable nodes a reconnecting client may
-// resubmit the same (client, seq) and gets the cached result instead of a
-// re-execution.
+// Fault tolerance: a lost peer connection is re-dialed with backoff by the
+// dialing side per the mesh rule above; the accepting side waits for the fresh
+// hello. A node constructed over a non-empty data_dir recovers its stores from
+// disk (snapshot + log tail, see src/dur), then — once the mesh re-forms —
+// advertises each shard's executed-dot frontier to every peer; peers stream
+// back the commits it missed, which apply through the normal executed path
+// (the durable admit filter deduplicates). Clients that vanish mid-request are
+// reaped too; on durable nodes a reconnecting client may resubmit the same
+// (client, seq) and gets the cached result instead of a re-execution.
 #ifndef SRC_RT_NODE_H_
 #define SRC_RT_NODE_H_
 
@@ -48,6 +40,7 @@
 
 #include "src/chk/checker.h"
 #include "src/codec/codec.h"
+#include "src/rt/connection.h"
 #include "src/rt/event_loop.h"
 #include "src/rt/shard_runtime.h"
 #include "src/smr/deployment.h"
@@ -59,21 +52,27 @@ struct PeerAddress {
   uint16_t port = 0;
 };
 
-class Connection;
-
-class Node final : public smr::Context, public ShardOutputSink {
+class Node final : public smr::Context,
+                   public ShardOutputSink,
+                   public Connection::Handler {
  public:
   // The deployment (one node's full replica assembly: engine, per-shard stores,
-  // batching) is borrowed and must outlive the node.
+  // batching) is borrowed and must outlive the node. A peer address with port
+  // 0 is a placeholder until set_peers() (see Listen).
   Node(common::ProcessId id, std::vector<PeerAddress> peers,
        smr::Deployment* deployment);
   ~Node();
 
-  // Binds the listen socket; returns false on bind failure.
+  // Binds and listens; returns false (socket closed) on failure. Port 0 binds
+  // an ephemeral port, readable through port() afterwards: bind every node
+  // first, then hand each the resolved table with set_peers() before Run().
   bool Listen();
+  // Replaces the address table (same size; before Run()).
+  void set_peers(std::vector<PeerAddress> peers);
   // Dials higher-id peers, waits for lower-id peers, then starts the engine and
   // serves until Stop(). Blocks.
   void Run();
+  // Thread-safe.
   void Stop();
 
   uint16_t port() const { return peers_[self_].port; }
@@ -86,87 +85,114 @@ class Node final : public smr::Context, public ShardOutputSink {
                               : applied_ops_.load(std::memory_order_acquire);
   }
 
-  // Thread-per-shard runtime; nullptr in single-driver mode. Exposed for fault
+  // Thread-per-shard runtime; nullptr in inline mode. Exposed for fault
   // drills (tests stop one shard's worker and assert clean node shutdown).
   ShardRuntime* shard_runtime() { return shards_.get(); }
 
-  // smr::Context (single-driver mode; in threaded mode the per-shard workers
-  // are the engines' contexts and these are never invoked):
+  // Fault drill, thread-safe: shuts down this node's connection to `peer` that
+  // carries shard `shard` (inline mode: the one connection to `peer`), as if
+  // the network dropped it. The mesh re-dials it like any other lost link.
+  void ResetPeerConnection(common::ProcessId peer, uint32_t shard);
+
+  // smr::Context (inline mode; in threaded mode the per-shard workers are the
+  // engines' contexts and these are never invoked):
   void Send(common::ProcessId to, msg::Message m) override;
   common::Time Now() const override { return EventLoop::NowUs(); }
   void SetTimer(common::Duration delay, uint64_t token) override;
   void Executed(const common::Dot& dot, const smr::Command& cmd) override;
   void Dropped(const common::Dot& dot, const smr::Command& original) override;
 
-  // ShardOutputSink (threaded mode, I/O thread): queue frames per connection;
-  // DrainShardOutputs flushes each touched socket once per pass.
-  void OnPeerSend(common::ProcessId to, msg::Message& m) override;
+  // ShardOutputSink (threaded mode, I/O thread): queue the reply on its
+  // client's connection; DrainShardOutputs flushes each touched socket once
+  // per pass.
   void OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
                      bool dropped) override;
-  void OnCatchupFrame(common::ProcessId to, std::string&& payload) override;
+
+  // Connection::Handler (I/O thread).
+  void OnFrame(Connection* conn, const uint8_t* data, size_t size) override;
+  void OnClosed(Connection* conn) override;
 
  private:
-  friend class Connection;
+  // A (peer, shard) connection slot: one per peer inline, P per peer threaded.
+  using PeerLane = std::pair<common::ProcessId, uint32_t>;
+  // A threaded-mode peer socket held (unread, unwatched) until the workers start.
+  struct HeldSocket {
+    int fd = -1;
+    std::string unread;
+  };
 
   void AcceptReady();
-  void OnPeerConnected(common::ProcessId peer, std::unique_ptr<Connection> conn);
-  void OnFrame(Connection* conn, const uint8_t* data, size_t size);
+  void OnPeerHello(Connection* conn, codec::Reader& r);
+  // A (peer, lane) connection is up: inline mode adopts the Connection as the
+  // peer's, threaded mode hands its socket to the lane's worker (or holds it
+  // until the workers start).
+  void AdoptPeerConnection(common::ProcessId peer, std::unique_ptr<Connection> conn);
+  void HandOffPeerSocket(PeerLane pl, int fd, std::string unread);
+  void NotePeerUp(PeerLane pl);
   void MaybeStartEngine();
   // Connection teardown: a closed socket schedules a reap on the loop (never
   // destroyed mid-callback); the reap scrubs every raw pointer to the
   // connection (waiting_clients_, dirty_conns_) before freeing it, and
   // schedules a backoff re-dial when the lost peer is one this node dials.
-  void NoteClosed(Connection* conn);
   void ReapConnections();
   void ForgetConn(Connection* conn);
-  void ScheduleRedial(common::ProcessId p);
-  void DialPeer(common::ProcessId p);
-  void OnDialReady(common::ProcessId p, int fd);
-  // Pre-start peer traffic: frames from peers whose engines started before ours
-  // are held and replayed in arrival order the moment our engine starts (see
-  // pending_peer_frames_).
+  void OnShardPeerLost(uint32_t shard, common::ProcessId peer);
+  void ScheduleRedial(PeerLane pl);
+  void DialPeer(PeerLane pl);
+  void OnDialReady(PeerLane pl, int fd);
+  // Inline mode, pre-start peer traffic: frames from peers whose engines
+  // started before ours are held and replayed in arrival order the moment our
+  // engine starts (see pending_peer_frames_). Threaded workers need no such
+  // buffer: a socket is not read until its worker's engine runs.
   void BufferPeerFrame(common::ProcessId from, const uint8_t* data, size_t size);
   void ReplayPendingPeerFrames();
-  // Durable restart: advertise recovered frontiers to every peer (once, when
-  // the engine starts) so they stream back what this node missed.
+  void HandlePeerFrame(common::ProcessId from, codec::Reader& r, uint8_t kind);
+  // Inline mode, durable restart: advertise recovered frontiers to every peer
+  // (once, when the engine starts) so they stream back what this node missed.
   void SendCatchupRequests();
-  void HandleCatchupRequest(codec::Reader& r);
-  void HandleCatchupEntries(codec::Reader& r);
+  void HandleCatchupRequest(common::ProcessId from, codec::Reader& r);
   // Completion bookkeeping for durable client idempotency (no-op otherwise).
   void CompleteClient(uint64_t client, uint64_t seq, const std::string& value,
                       bool dropped);
-  // Threaded mode: routes one decoded input to its shard's inbox, draining
-  // worker outboxes while the inbox is full (never a blocking wait; bounded
-  // retries, then the input is dropped and counted).
-  void RouteInput(common::ProcessId from, msg::Message* m, uint32_t shard,
-                  smr::Command* cmd);
+  // Threaded mode: a client command for `shard`, batched per shard for the
+  // batch window (P > 1) before it reaches the worker.
+  void SubmitToShard(uint32_t shard, smr::Command& cmd);
+  void FlushBatch(uint32_t shard);
+  // Threaded mode: moves `in` into its shard's inbox, draining worker outboxes
+  // while the inbox is full (never a blocking wait; bounded retries, then the
+  // input is dropped and counted).
+  void RouteInput(uint32_t shard, ShardInput& in);
   // Threaded mode: doorbell callback — drain outboxes, flush dirty sockets.
   void OnWorkerOutput();
   size_t DrainShardOutputs();
   void MarkDirty(Connection* conn);
   void FlushDirty();
   // Sends a ClientReply frame to the client waiting on (client, seq), if any.
-  void ReplyToClient(uint64_t client, uint64_t seq, std::string&& value, bool dropped);
-  // Sends a ClientReply frame on a specific connection (rejection path). With
-  // `flush` false the frame is queued and the connection marked dirty instead
-  // (threaded drain path).
+  // With `flush` false the frame is queued and the connection marked dirty
+  // instead (threaded drain path).
+  void ReplyToClient(uint64_t client, uint64_t seq, std::string&& value, bool dropped,
+                     bool flush = true);
+  // Sends a ClientReply frame on a specific connection (rejection path).
   void SendReply(Connection* conn, uint64_t client, uint64_t seq, std::string&& value,
                  bool dropped, bool flush = true);
 
   common::ProcessId self_;
   std::vector<PeerAddress> peers_;
   smr::Deployment* deployment_;
+  // Connections per peer: one per shard threaded, a single one inline.
+  uint32_t lanes_;
 
   EventLoop loop_;
   int listen_fd_ = -1;
-  std::map<common::ProcessId, std::unique_ptr<Connection>> peer_conns_;
+  std::map<common::ProcessId, std::unique_ptr<Connection>> peer_conns_;  // inline
+  std::map<PeerLane, HeldSocket> held_;  // threaded, until the workers start
   std::vector<std::unique_ptr<Connection>> anonymous_;  // pre-hello + client conns
   // (client, seq) -> connection serving that client.
   std::unordered_map<chk::CmdKey, Connection*, chk::CmdKeyHash> waiting_clients_;
-  // Reconnect state: in-progress non-blocking dials (peer -> fd) and the
-  // per-peer re-dial backoff (reset on successful connect).
-  std::map<common::ProcessId, int> dialing_;
-  std::map<common::ProcessId, common::Duration> redial_backoff_;
+  // Reconnect state: in-progress non-blocking dials and the re-dial backoff
+  // of every lost connection still waiting to reconnect (erased on connect).
+  std::map<PeerLane, int> dialing_;
+  std::map<PeerLane, common::Duration> redial_backoff_;
   bool reap_scheduled_ = false;
   bool catchup_requested_ = false;
   // Durable client idempotency: commands submitted but not yet completed, and
@@ -174,13 +200,13 @@ class Node final : public smr::Context, public ShardOutputSink {
   std::unordered_set<chk::CmdKey, chk::CmdKeyHash> in_flight_;
   std::unordered_map<uint64_t, std::pair<uint64_t, std::string>> client_done_;
   // Client commands that arrived before the peer mesh completed; submitted the
-  // moment the engine starts (previously they were dropped and the client hung).
+  // moment the engine starts.
   std::vector<smr::Command> pending_submits_;
-  // Peer frames (messages / catch-up) that arrived before this node's own mesh
-  // completed, replayed at engine start. Nodes start their engines at different
-  // moments — a faster peer's first proposal must not be dropped here: protocols
-  // whose commit needs every live replica's ack (Mencius) would wedge that slot
-  // forever. Bounded; overflow falls back to the old drop behaviour.
+  // Inline mode: peer frames that arrived before this node's own mesh
+  // completed, replayed at engine start. Nodes start their engines at
+  // different moments — a faster peer's first proposal must not be dropped
+  // here: protocols whose commit needs every live replica's ack (Mencius)
+  // would wedge that slot forever. Bounded; overflow falls back to dropping.
   struct PendingPeerFrame {
     common::ProcessId from;
     std::vector<uint8_t> bytes;  // full frame, kind byte included
@@ -192,9 +218,22 @@ class Node final : public smr::Context, public ShardOutputSink {
   std::atomic<uint64_t> applied_ops_{0};
   bool engine_started_ = false;
 
-  // Threaded mode only. Declaration order matters: workers ring out_bell_ and
-  // reference the deployment, so shards_ (declared last) is destroyed — and its
-  // workers joined — first.
+  // Threaded mode only. Ingress batching: each shard's client commands
+  // collect for the batch window (or until batch_max), then go to the worker
+  // as one kBatch composite; the generation discards stale window timers.
+  common::Duration batch_window_ = 0;
+  size_t batch_max_ = 64;
+  struct ShardBatch {
+    std::vector<smr::Command> cmds;
+    uint64_t generation = 0;
+  };
+  std::vector<ShardBatch> batches_;
+  codec::Writer batch_writer_;
+  smr::PayloadPool batch_pool_;
+  ShardInput route_;  // reused inbox envelope
+  // Declaration order matters: workers ring out_bell_ and reference the
+  // deployment, so shards_ (declared last) is destroyed — and its workers
+  // joined — first.
   Doorbell out_bell_;
   std::vector<Connection*> dirty_conns_;
   std::unique_ptr<ShardRuntime> shards_;
@@ -245,6 +284,7 @@ class Client {
   int fd_ = -1;
   uint64_t gave_up_ = 0;
   std::vector<uint8_t> in_;  // partial-frame carry across RecvReply calls
+  codec::Writer frame_;      // outbound frame, reused: a warm Send allocates nothing
 };
 
 }  // namespace rt

@@ -2,7 +2,7 @@
 
 #include <pthread.h>
 #include <sched.h>
-#include <time.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,25 +13,20 @@
 #include "src/common/check.h"
 #include "src/exec/exec_pool.h"
 #include "src/exec/laned_store.h"
+#include "src/msg/message.h"
+#include "src/rt/connection.h"
+#include "src/rt/event_loop.h"
+#include "src/rt/wire.h"
 
 namespace rt {
 
-namespace {
-
-common::Time NowUs() {
-  struct timespec ts;
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<common::Time>(ts.tv_sec) * common::kSecond + ts.tv_nsec / 1000;
-}
-
-}  // namespace
-
-// One shard's worker: owns the shard engine, its timer wheel, its submission
-// batching state and the mailbox pair tying it to the I/O tier. It is also the
-// engine's smr::Context — sends and completions become outbox items, timers
-// land in the worker-local wheel (engines only call the Context from within
-// their own callbacks, which all run on this thread).
-class ShardRuntime::Worker final : public smr::Context {
+// One shard's worker: owns the shard engine, its timers, its connections to
+// the same shard on every peer and the mailbox pair tying it to the I/O tier.
+// It is also the engine's smr::Context — sends are encoded straight onto the
+// peer's connection, completions become outbox items, timers land in the
+// worker's own event loop (engines only call the Context from within their
+// own callbacks, which all run on this thread).
+class ShardRuntime::Worker final : public smr::Context, public Connection::Handler {
  public:
   Worker(ShardRuntime* owner, uint32_t shard)
       : owner_(owner),
@@ -39,14 +34,10 @@ class ShardRuntime::Worker final : public smr::Context {
         inbox_(owner->opts_.mailbox_capacity),
         outbox_(owner->opts_.mailbox_capacity) {
     const smr::DeploymentOptions& d = owner_->deployment_->options();
-    // Submission batching mirrors the sharded single-driver path: enabled only
-    // at P > 1 (P = 1 stays the unbatched seed configuration).
-    batch_window_ = owner_->partitions_ > 1 ? d.batch_window : 0;
-    batch_max_ = d.batch_max;
     // Executor pool (ordering/execution split): the engine keeps emitting in
     // deterministic order on this thread; state application fans out across
     // the pool's commute lanes. Completions come back through Poll() in the
-    // main loop and turn into the same kReply outputs the inline path pushes.
+    // main loop and turn into the same replies the inline path pushes.
     exec::LanedStore* laned = owner_->deployment_->laned_store(shard_);
     if (laned != nullptr && d.executor_threads > 0) {
       exec::ExecPool::Options po;
@@ -54,13 +45,7 @@ class ShardRuntime::Worker final : public smr::Context {
       po.mailbox_capacity = std::min<size_t>(1024, owner_->opts_.mailbox_capacity);
       po.on_completion = [this](uint64_t client, uint64_t seq,
                                 std::string&& value) {
-        ShardOutput out;
-        out.kind = ShardOutput::Kind::kReply;
-        out.client = client;
-        out.seq = seq;
-        out.value = std::move(value);
-        out.dropped = false;
-        PushOutput(out);
+        PushReply(client, seq, std::move(value), /*dropped=*/false);
       };
       po.applied = [this](const smr::Command& sub) {
         // Lane threads (and this thread, for cross-lane barriers): the same
@@ -75,14 +60,32 @@ class ShardRuntime::Worker final : public smr::Context {
     }
   }
 
+  ~Worker() {
+    // Sockets handed over after the worker stopped never reached it.
+    ShardInput in;
+    while (inbox_.TryPop(in)) {
+      CloseInput(in);
+    }
+  }
+
   Mailbox<ShardInput>& inbox() { return inbox_; }
   Mailbox<ShardOutput>& outbox() { return outbox_; }
   Doorbell& bell() { return bell_; }
   bool stopped() const { return stopped_.load(std::memory_order_acquire); }
+  exec::ExecPool* pool() { return pool_.get(); }
+  uint32_t open_peers() const { return open_peers_.load(std::memory_order_relaxed); }
+  uint64_t max_queued() const { return max_queued_.load(std::memory_order_relaxed); }
 
-  void Spawn(common::ProcessId self, uint32_t n) {
+  // Called on the spawning thread before the worker thread exists.
+  void Spawn(common::ProcessId self, uint32_t n, std::vector<PeerSocket> sockets,
+             const smr::RestartHint& recovered) {
     self_id_ = self;
     n_ = n;
+    recovered_ = recovered;
+    peers_.resize(n);
+    for (PeerSocket& s : sockets) {
+      AttachPeer(s.peer, s.fd, std::move(s.unread));
+    }
     thread_ = std::thread([this]() { ThreadMain(); });
     if (owner_->opts_.pin_cores) {
       long ncpu = sysconf(_SC_NPROCESSORS_ONLN);
@@ -107,23 +110,33 @@ class ShardRuntime::Worker final : public smr::Context {
     stopped_.store(true, std::memory_order_release);
   }
 
+  static void CloseInput(ShardInput& in) {
+    if (in.kind == ShardInput::Kind::kPeer && in.fd >= 0) {
+      close(in.fd);
+      in.fd = -1;
+    }
+  }
+
   // smr::Context (worker thread only):
   void Send(common::ProcessId to, msg::Message m) override {
+    if (to >= peers_.size() || peers_[to] == nullptr) {
+      return;  // peer down; engines tolerate message loss
+    }
     m.shard = shard_;
-    ShardOutput out;
-    out.kind = ShardOutput::Kind::kPeerSend;
-    out.to = to;
-    out.m = std::move(m);
-    PushOutput(out);
+    // Reused scratch, pre-sized so encoding never reallocates mid-message;
+    // QueueFrame copies it into the connection's write buffer.
+    encode_.Clear();
+    encode_.Reserve(1 + msg::EncodedSize(m));
+    encode_.U8(wire::kFrameMessage);
+    msg::Encode(encode_, m);
+    QueueTo(peers_[to].get(), encode_.buffer());
   }
 
-  common::Time Now() const override { return NowUs(); }
+  common::Time Now() const override { return EventLoop::NowUs(); }
 
   void SetTimer(common::Duration delay, uint64_t token) override {
-    PushTimer(Now() + delay, token, /*is_flush=*/false);
+    loop_.AddTimer(delay, [this, token]() { engine_->OnTimer(token); });
   }
-
-  exec::ExecPool* pool() { return pool_.get(); }
 
   void Executed(const common::Dot& dot, const smr::Command& cmd) override {
     if (pool_ != nullptr) {
@@ -150,107 +163,62 @@ class ShardRuntime::Worker final : public smr::Context {
           if (!sub.is_noop()) {
             owner_->applied_ops_.fetch_add(1, std::memory_order_release);
           }
-          if (sub.client == 0) {
-            return;  // internal command (noOp); no client waits on it
+          if (sub.client != 0) {  // client 0: internal command (noOp)
+            PushReply(sub.client, sub.seq, std::move(result), /*dropped=*/false);
           }
-          ShardOutput out;
-          out.kind = ShardOutput::Kind::kReply;
-          out.client = sub.client;
-          out.seq = sub.seq;
-          out.value = std::move(result);
-          out.dropped = false;
-          PushOutput(out);
         });
-  }
-
-  // A restarted peer advertised its executed-dot frontier: tell the engine it
-  // is back (clearing suspicion below its reserved floor), then stream every
-  // log record the peer is missing, batched into kCatchup output frames.
-  void HandleCatchupReq(common::ProcessId from, uint64_t seq_floor,
-                        const std::string& blob) {
-    owner_->deployment_->shard_engine(shard_).OnRestore(from, seq_floor);
-    dur::ShardDurability* d = owner_->deployment_->durability(shard_);
-    if (d == nullptr) {
-      return;
-    }
-    dur::DotFrontier have;
-    codec::Reader r(reinterpret_cast<const uint8_t*>(blob.data()), blob.size());
-    // A malformed frontier decodes to empty: we over-stream and the peer's
-    // admit filter discards the duplicates.
-    have.DecodeFrom(r);
-    constexpr size_t kEntriesPerFrame = 256;
-    codec::Writer entries;
-    size_t count = 0;
-    auto flush = [&]() {
-      if (count == 0) {
-        return;
-      }
-      codec::Writer frame;
-      frame.Varint(shard_);
-      frame.Varint(count);
-      ShardOutput out;
-      out.kind = ShardOutput::Kind::kCatchup;
-      out.to = from;
-      out.value.assign(
-          reinterpret_cast<const char*>(frame.buffer().data()),
-          frame.buffer().size());
-      out.value.append(
-          reinterpret_cast<const char*>(entries.buffer().data()),
-          entries.buffer().size());
-      PushOutput(out);
-      entries.Clear();
-      count = 0;
-    };
-    d->StreamMissing(have, [&](const common::Dot& dot, const smr::Command& cmd) {
-      entries.Dot(dot);
-      cmd.EncodeTo(entries);
-      if (++count >= kEntriesPerFrame) {
-        flush();
-      }
-    });
-    flush();
   }
 
   void Dropped(const common::Dot& dot, const smr::Command& original) override {
     owner_->deployment_->ForEachDropped(original, [this](const smr::Command& sub) {
-      if (sub.client == 0) {
-        return;
+      if (sub.client != 0) {
+        PushReply(sub.client, sub.seq, std::string(), /*dropped=*/true);
       }
-      ShardOutput out;
-      out.kind = ShardOutput::Kind::kReply;
-      out.client = sub.client;
-      out.seq = sub.seq;
-      out.dropped = true;
-      PushOutput(out);
     });
   }
 
- private:
-  // Worker-local one-shot timer wheel: a binary min-heap of (deadline, token).
-  // is_flush marks the wrapper's own batch-drain timer vs engine timers.
-  struct TimerEntry {
-    common::Time deadline;
-    uint64_t seq;  // insertion tiebreak: equal deadlines fire in set order
-    uint64_t token;
-    bool is_flush;
-    bool operator>(const TimerEntry& o) const {
-      if (deadline != o.deadline) {
-        return deadline > o.deadline;
+  // Connection::Handler (worker thread only): frames from the peer shard.
+  void OnFrame(Connection* conn, const uint8_t* data, size_t size) override {
+    codec::Reader r(data, size);
+    switch (r.U8()) {
+      case wire::kFrameMessage: {
+        msg::Message m;
+        if (msg::Decode(r, m) && m.shard == shard_) {
+          engine_->OnMessage(conn->peer_id, m);
+        }
+        break;
       }
-      return seq > o.seq;
+      case wire::kFrameCatchupReq:
+        HandleCatchupRequest(conn, r);
+        break;
+      case wire::kFrameCatchupEntries:
+        // The normal executed path: the durable admit filter deduplicates
+        // (we may have replayed this record from our own log already), and a
+        // duplicate's reply simply finds no waiting client.
+        wire::ForEachCatchupEntry(
+            r, [this](uint64_t shard, const common::Dot& dot, const smr::Command& cmd) {
+              if (shard == shard_) {
+                Executed(dot, cmd);
+              }
+            });
+        break;
+      default:
+        break;
     }
-  };
-
-  void PushTimer(common::Time deadline, uint64_t token, bool is_flush) {
-    timers_.push_back(TimerEntry{deadline, timer_seq_++, token, is_flush});
-    std::push_heap(timers_.begin(), timers_.end(), std::greater<TimerEntry>());
   }
 
+  void OnClosed(Connection* conn) override { reap_pending_ = true; }
+
+ private:
   // Never blocks indefinitely: the I/O thread always drains outboxes before
   // sleeping, so ringing its doorbell and yielding is enough to guarantee the
   // ring frees up. Output is dropped only during shutdown.
-  void PushOutput(ShardOutput& out) {
-    while (!outbox_.TryPush(out)) {
+  void PushReply(uint64_t client, uint64_t seq, std::string&& value, bool dropped) {
+    reply_.client = client;
+    reply_.seq = seq;
+    reply_.value = std::move(value);
+    reply_.dropped = dropped;
+    while (!outbox_.TryPush(reply_)) {
       NotifyOutput();
       if (stop_.load(std::memory_order_acquire)) {
         return;
@@ -266,119 +234,186 @@ class ShardRuntime::Worker final : public smr::Context {
     }
   }
 
-  void SubmitLocal(smr::Command& cmd) {
-    smr::Engine& engine = owner_->deployment_->shard_engine(shard_);
-    if (batch_window_ == 0) {
-      engine.Submit(std::move(cmd));
-      return;
-    }
-    pending_.push_back(std::move(cmd));
-    if (pending_.size() >= batch_max_) {
-      FlushBatch();
-      return;
-    }
-    if (!flush_armed_) {
-      flush_armed_ = true;
-      PushTimer(Now() + batch_window_, /*token=*/0, /*is_flush=*/true);
+  void QueueTo(Connection* conn, const std::vector<uint8_t>& payload) {
+    conn->QueueFrame(payload);
+    if (!conn->dirty) {
+      conn->dirty = true;
+      dirty_.push_back(conn);
     }
   }
 
-  void FlushBatch() {
-    flush_armed_ = false;
-    if (pending_.empty()) {
+  // One send() per dirty socket per pass, however many frames the pass queued.
+  void FlushDirty() {
+    uint64_t max_queued = max_queued_.load(std::memory_order_relaxed);
+    for (Connection* conn : dirty_) {
+      conn->dirty = false;
+      conn->Flush();
+      max_queued = std::max<uint64_t>(max_queued, conn->queued_bytes());
+    }
+    dirty_.clear();
+    max_queued_.store(max_queued, std::memory_order_relaxed);
+  }
+
+  // Adopts a socket to `peer`, replacing (and closing) any older one.
+  Connection* AttachPeer(common::ProcessId peer, int fd, std::string unread) {
+    if (peer >= n_ || peer == self_id_) {
+      close(fd);
+      return nullptr;
+    }
+    DropPeer(peer);
+    peers_[peer] = std::make_unique<Connection>(&loop_, fd, this, std::move(unread));
+    peers_[peer]->peer_id = peer;
+    CountPeers();
+    return peers_[peer].get();
+  }
+
+  void DropPeer(common::ProcessId peer) {
+    Connection* conn = peers_[peer].get();
+    if (conn == nullptr) {
       return;
     }
-    smr::Engine& engine = owner_->deployment_->shard_engine(shard_);
-    if (pending_.size() == 1) {
-      engine.Submit(std::move(pending_[0]));
-    } else {
-      smr::Command batch;
-      smr::MakeBatchInto(pending_, batch_writer_, batch, &batch_pool_);
-      engine.Submit(std::move(batch));
+    dirty_.erase(std::remove(dirty_.begin(), dirty_.end(), conn), dirty_.end());
+    peers_[peer].reset();
+    CountPeers();
+  }
+
+  void CountPeers() {
+    uint32_t open = 0;
+    for (const auto& c : peers_) {
+      open += c != nullptr ? 1 : 0;
     }
-    pending_.clear();
+    open_peers_.store(open, std::memory_order_relaxed);
+  }
+
+  // Destroys connections that closed during the pass (never from inside their
+  // own callbacks) and reports each loss so the I/O tier can re-dial.
+  void ReapPeers() {
+    reap_pending_ = false;
+    for (common::ProcessId p = 0; p < peers_.size(); p++) {
+      if (peers_[p] != nullptr && peers_[p]->closed()) {
+        DropPeer(p);
+        if (owner_->peer_lost_) {
+          owner_->peer_lost_(shard_, p);
+        }
+      }
+    }
+  }
+
+  // Durable restart: advertise this shard's recovered frontier to every peer
+  // so they stream back what this replica missed.
+  void SendCatchupRequests() {
+    const smr::Deployment::CatchupAdvert::Shard& adv =
+        owner_->deployment_->catchup_advert().shards[shard_];
+    encode_.Clear();
+    wire::EncodeCatchupRequest(encode_, shard_, adv.seq_floor, adv.frontier);
+    for (auto& conn : peers_) {
+      if (conn != nullptr) {
+        QueueTo(conn.get(), encode_.buffer());
+      }
+    }
+  }
+
+  // A restarted peer advertised its executed-dot frontier: tell the engine it
+  // is back (clearing suspicion below its reserved floor), then stream every
+  // log record the peer is missing back on the same connection.
+  void HandleCatchupRequest(Connection* conn, codec::Reader& r) {
+    wire::CatchupRequest req;
+    if (!wire::DecodeCatchupRequest(r, &req) || req.shard != shard_) {
+      return;
+    }
+    engine_->OnRestore(conn->peer_id, req.seq_floor);
+    dur::ShardDurability* d = owner_->deployment_->durability(shard_);
+    if (d == nullptr) {
+      return;
+    }
+    wire::StreamCatchup(*d, shard_, req.frontier,
+                        [this, conn](const std::vector<uint8_t>& payload) {
+                          QueueTo(conn, payload);
+                        });
+  }
+
+  // Bounded burst, so a flooded inbox cannot starve sockets and timers.
+  bool DrainInbox() {
+    bool worked = false;
+    for (int i = 0; i < 256 && inbox_.TryPop(in_); i++) {
+      worked = true;
+      switch (in_.kind) {
+        case ShardInput::Kind::kSubmit:
+          engine_->Submit(std::move(in_.cmd));
+          break;
+        case ShardInput::Kind::kPeer:
+          if (Connection* conn = AttachPeer(in_.from, in_.fd, std::move(in_.unread))) {
+            conn->ConsumeInput();
+          }
+          in_.fd = -1;
+          break;
+        case ShardInput::Kind::kReset:
+          if (in_.from < peers_.size() && peers_[in_.from] != nullptr) {
+            peers_[in_.from]->Shutdown();
+          }
+          break;
+        case ShardInput::Kind::kNone:
+          break;
+      }
+    }
+    return worked;
   }
 
   void ThreadMain() {
-    smr::Engine& engine = owner_->deployment_->shard_engine(shard_);
-    engine.Bind(self_id_, n_, this);
+    engine_ = &owner_->deployment_->shard_engine(shard_);
+    loop_.WatchFd(bell_.fd(), EPOLLIN, [this](uint32_t) { bell_.Drain(); });
+    engine_->Bind(self_id_, n_, this);
     if (pool_ != nullptr) {
       pool_->Start();
     }
-    engine.OnStart();
+    engine_->OnStart();
     if (owner_->deployment_->HasRecoveredState()) {
       // Seed the recovered floors after OnStart so protocol initialization
       // cannot clobber them; fresh submissions then mint dots above anything
       // a prior incarnation may have used.
-      engine.ApplyRestartHint(
-          owner_->deployment_->RecoveredRestartHints()[shard_]);
+      engine_->ApplyRestartHint(recovered_);
+      if (owner_->deployment_->durable()) {
+        SendCatchupRequests();
+      }
     }
-    ShardInput in;
+    // Frames a peer sent before this engine started arrived with its hello.
+    for (auto& conn : peers_) {
+      if (conn != nullptr) {
+        conn->ConsumeInput();
+      }
+    }
     while (!stop_.load(std::memory_order_acquire)) {
-      bool worked = false;
-      // Due timers first (they were set strictly earlier than now).
-      common::Time now = Now();
-      while (!timers_.empty() && timers_.front().deadline <= now) {
-        std::pop_heap(timers_.begin(), timers_.end(), std::greater<TimerEntry>());
-        TimerEntry t = timers_.back();
-        timers_.pop_back();
-        if (t.is_flush) {
-          FlushBatch();
-        } else {
-          engine.OnTimer(t.token);
-        }
-        worked = true;
-        now = Now();
-      }
-      // Bounded inbox burst, so a flooded inbox cannot starve timers.
-      for (int i = 0; i < 256; i++) {
-        if (!inbox_.TryPop(in)) {
-          break;
-        }
-        switch (in.kind) {
-          case ShardInput::Kind::kMessage:
-            engine.OnMessage(in.from, in.m);
-            break;
-          case ShardInput::Kind::kSubmit:
-            SubmitLocal(in.cmd);
-            break;
-          case ShardInput::Kind::kCatchupReq:
-            HandleCatchupReq(in.from, in.seq_floor, in.blob);
-            break;
-          case ShardInput::Kind::kCatchupEntry:
-            // The normal executed path: the durable admit filter deduplicates
-            // (we may have replayed this record from our own log already), and
-            // a duplicate's reply simply finds no waiting client.
-            Executed(in.dot, in.cmd);
-            break;
-          case ShardInput::Kind::kNone:
-            break;
-        }
-        worked = true;
-      }
+      bool worked = DrainInbox();
       // Executor completions back to the reply path (pool mode only).
       if (pool_ != nullptr && pool_->Poll() > 0) {
         worked = true;
       }
-      if (worked) {
-        continue;
+      FlushDirty();
+      if (reap_pending_) {
+        ReapPeers();
       }
-      // Park until input arrives or the next timer is due. Arm-then-recheck
-      // closes the missed-wakeup window (see Doorbell). Executor lanes ring
-      // this same bell when completions land, so the recheck covers them too.
-      bell_.Arm();
-      if (!inbox_.Empty() || (pool_ != nullptr && pool_->HasCompletions()) ||
-          stop_.load(std::memory_order_acquire)) {
-        continue;
+      int wait_ms = 0;
+      if (!worked) {
+        // Park in epoll until a socket, the doorbell or the next timer fires.
+        // Arm-then-recheck closes the missed-wakeup window (see Doorbell);
+        // executor lanes ring this same bell when completions land.
+        bell_.Arm();
+        if (inbox_.Empty() && (pool_ == nullptr || !pool_->HasCompletions()) &&
+            !stop_.load(std::memory_order_acquire)) {
+          wait_ms = -1;
+        }
       }
-      int64_t timeout_us = -1;
-      if (!timers_.empty()) {
-        common::Time next = timers_.front().deadline;
-        common::Time cur = Now();
-        timeout_us = next > cur ? static_cast<int64_t>(next - cur) : 0;
-      }
-      bell_.Wait(timeout_us);
+      loop_.RunOnce(wait_ms);
+      bell_.Disarm();
     }
+    FlushDirty();
+    // A dead shard closes its sockets: peers see the loss at once instead of
+    // queueing frames for a reader that will never come back.
+    for (auto& conn : peers_) {
+      conn.reset();
+    }
+    dirty_.clear();
+    open_peers_.store(0, std::memory_order_relaxed);
     if (pool_ != nullptr) {
       // Quiesce the executor lanes before this worker dies: the store reaches
       // its final (inline-equivalent) state, so digests read after Join are
@@ -398,16 +433,19 @@ class ShardRuntime::Worker final : public smr::Context {
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> stopped_{false};
+  std::atomic<uint32_t> open_peers_{0};
+  std::atomic<uint64_t> max_queued_{0};
 
-  // Worker-local state (worker thread only).
-  std::vector<TimerEntry> timers_;
-  uint64_t timer_seq_ = 0;
-  common::Duration batch_window_ = 0;
-  size_t batch_max_ = 64;
-  bool flush_armed_ = false;
-  std::vector<smr::Command> pending_;
-  codec::Writer batch_writer_;
-  smr::PayloadPool batch_pool_;
+  // Worker-local state (worker thread only, after Spawn).
+  smr::RestartHint recovered_;
+  smr::Engine* engine_ = nullptr;
+  EventLoop loop_;
+  std::vector<std::unique_ptr<Connection>> peers_;  // by process id
+  std::vector<Connection*> dirty_;
+  bool reap_pending_ = false;
+  codec::Writer encode_;
+  ShardInput in_;
+  ShardOutput reply_;
   std::vector<smr::Command> exec_scratch_;
   // Executor pool (nullptr when executor_threads == 0: inline execution).
   std::unique_ptr<exec::ExecPool> pool_;
@@ -426,11 +464,19 @@ ShardRuntime::ShardRuntime(smr::Deployment* deployment, Options opts)
 
 ShardRuntime::~ShardRuntime() { Stop(); }
 
-void ShardRuntime::Start(common::ProcessId self, uint32_t n) {
+void ShardRuntime::Start(common::ProcessId self, uint32_t n,
+                         std::vector<std::vector<PeerSocket>> sockets) {
   CHECK(!started_);
+  CHECK_EQ(sockets.size(), static_cast<size_t>(partitions_));
   started_ = true;
+  // Read every shard's recovered floors before any worker runs: a running
+  // worker moves its own shard's floors forward as it applies.
+  std::vector<smr::RestartHint> recovered(partitions_);
+  if (deployment_->HasRecoveredState()) {
+    recovered = deployment_->RecoveredRestartHints();
+  }
   for (uint32_t s = 0; s < partitions_; s++) {
-    workers_[s]->Spawn(self, n);
+    workers_[s]->Spawn(self, n, std::move(sockets[s]), recovered[s]);
   }
 }
 
@@ -468,86 +514,24 @@ bool ShardRuntime::StopOneExecutor(uint32_t shard, uint32_t lane) {
   return pool->StopOne(lane);
 }
 
-bool ShardRuntime::RouteMessage(common::ProcessId from, msg::Message& m) {
-  uint32_t shard = m.shard;
-  if (shard >= partitions_) {
-    return true;  // malformed/foreign tag: swallow, like ShardedEngine does
-  }
-  Worker& w = *workers_[shard];
-  if (w.stopped()) {
-    return true;  // dead shard: input is lost, like a crashed replica's would be
-  }
-  ShardInput in;
-  in.kind = ShardInput::Kind::kMessage;
-  in.from = from;
-  in.m = std::move(m);
-  if (!w.inbox().TryPush(in)) {
-    m = std::move(in.m);  // hand the message back for the caller's retry
-    return false;
-  }
-  w.bell().Ring();
-  return true;
-}
-
-bool ShardRuntime::SubmitToShard(uint32_t shard, smr::Command& cmd) {
+bool ShardRuntime::Push(uint32_t shard, ShardInput& in) {
   CHECK_LT(shard, partitions_);
   Worker& w = *workers_[shard];
   if (w.stopped()) {
-    return true;  // dead shard drops the submission (client will time out/retry)
+    // Dead shard: input is lost, like a crashed replica's would be.
+    Worker::CloseInput(in);
+    return true;
   }
-  ShardInput in;
-  in.kind = ShardInput::Kind::kSubmit;
-  in.cmd = std::move(cmd);
   if (!w.inbox().TryPush(in)) {
-    cmd = std::move(in.cmd);
     return false;
   }
   w.bell().Ring();
   return true;
 }
 
-bool ShardRuntime::RouteCatchupRequest(uint32_t shard, common::ProcessId from,
-                                       uint64_t seq_floor,
-                                       std::string& frontier_blob) {
-  if (shard >= partitions_) {
-    return true;
-  }
-  Worker& w = *workers_[shard];
-  if (w.stopped()) {
-    return true;
-  }
-  ShardInput in;
-  in.kind = ShardInput::Kind::kCatchupReq;
-  in.from = from;
-  in.seq_floor = seq_floor;
-  in.blob = std::move(frontier_blob);
-  if (!w.inbox().TryPush(in)) {
-    frontier_blob = std::move(in.blob);
-    return false;
-  }
-  w.bell().Ring();
-  return true;
-}
-
-bool ShardRuntime::RouteCatchupEntry(uint32_t shard, const common::Dot& dot,
-                                     smr::Command& cmd) {
-  if (shard >= partitions_) {
-    return true;
-  }
-  Worker& w = *workers_[shard];
-  if (w.stopped()) {
-    return true;
-  }
-  ShardInput in;
-  in.kind = ShardInput::Kind::kCatchupEntry;
-  in.dot = dot;
-  in.cmd = std::move(cmd);
-  if (!w.inbox().TryPush(in)) {
-    cmd = std::move(in.cmd);
-    return false;
-  }
-  w.bell().Ring();
-  return true;
+void ShardRuntime::DropInput(ShardInput& in) {
+  inputs_dropped_.fetch_add(1, std::memory_order_relaxed);
+  Worker::CloseInput(in);
 }
 
 size_t ShardRuntime::DrainOutputs(ShardOutputSink& sink) {
@@ -556,20 +540,7 @@ size_t ShardRuntime::DrainOutputs(ShardOutputSink& sink) {
   for (auto& w : workers_) {
     while (w->outbox().TryPop(out)) {
       drained++;
-      switch (out.kind) {
-        case ShardOutput::Kind::kPeerSend:
-          sink.OnPeerSend(out.to, out.m);
-          break;
-        case ShardOutput::Kind::kReply:
-          sink.OnClientReply(out.client, out.seq, std::move(out.value),
-                             out.dropped);
-          break;
-        case ShardOutput::Kind::kCatchup:
-          sink.OnCatchupFrame(out.to, std::move(out.value));
-          break;
-        case ShardOutput::Kind::kNone:
-          break;
-      }
+      sink.OnClientReply(out.client, out.seq, std::move(out.value), out.dropped);
     }
   }
   return drained;
@@ -582,6 +553,21 @@ bool ShardRuntime::HasOutput() const {
     }
   }
   return false;
+}
+
+bool ShardRuntime::stopped(uint32_t shard) const {
+  CHECK_LT(shard, partitions_);
+  return workers_[shard]->stopped();
+}
+
+uint32_t ShardRuntime::peer_connections(uint32_t shard) const {
+  CHECK_LT(shard, partitions_);
+  return workers_[shard]->open_peers();
+}
+
+uint64_t ShardRuntime::max_queued_bytes(uint32_t shard) const {
+  CHECK_LT(shard, partitions_);
+  return workers_[shard]->max_queued();
 }
 
 }  // namespace rt

@@ -3,26 +3,29 @@
 // The single-driver rt::Node multiplexed all P shard engines of a deployment
 // over one epoll thread, so the 3.3x simulated shard speedup never turned into
 // real parallelism (and P=8 regressed from driver contention). ShardRuntime
-// splits a replica into the two tiers that parallel SMR designs (Marandi et
-// al.'s P-SMR, Whittaker et al.'s compartmentalization) arrive at:
+// splits a replica into the tiers that parallel SMR designs (Marandi et al.'s
+// P-SMR, Whittaker et al.'s compartmentalization) arrive at:
 //
-//   * the I/O tier (rt::Node's epoll thread) owns sockets: it decodes frames,
-//     routes them by the envelope's shard tag into per-shard inboxes without
-//     copying payloads, and batches outbound writes per socket across shards;
+//   * the I/O tier (rt::Node's epoll thread) owns the listen socket and the
+//     client connections, dials and re-dials peers, and batches each shard's
+//     client commands for the batch window before handing the worker one
+//     kBatch composite;
 //   * one worker thread per shard owns that shard's protocol engine, store
-//     slice, submission batching and timer wheel. Workers never touch a
-//     socket, a lock, or another shard's state;
+//     slice, timers and its own TCP connection to the same shard on every
+//     peer. It reads, decodes, encodes and writes that peer traffic itself
+//     from a per-worker epoll loop (src/rt/connection.h), so a protocol
+//     message goes engine -> socket -> peer engine with no thread hop. Workers
+//     never touch a lock or another shard's state;
 //   * with smr::DeploymentOptions::executor_threads > 0, a third tier hangs
 //     off each shard worker: an exec::ExecPool applying the shard's executed
 //     commands concurrently across commute lanes (ordering stays on the shard
 //     worker; only state application fans out — see src/exec/exec_pool.h).
 //
-// Edges between the tiers are bounded SPSC mailboxes (src/rt/mailbox.h): one
-// inbox per (I/O -> shard) and one outbox per (shard -> I/O). Cross-shard
-// edges are not instantiated — shard engines share no keys and never talk to
-// each other (cross-shard commands are the ROADMAP's next gap; they would add
-// (shard -> shard) mailboxes to this same topology). Idle workers park on an
-// eventfd doorbell with a timeout derived from their own timer wheel, so an
+// The I/O tier and a worker are joined by two bounded SPSC mailboxes
+// (src/rt/mailbox.h): an inbox carrying submissions and handed-over peer
+// sockets, and an outbox carrying client replies. Shard engines share no keys
+// and never talk to each other. An idle worker blocks in epoll on its sockets
+// plus an eventfd doorbell, with its next timer deadline as the timeout, so an
 // idle replica burns no CPU.
 //
 // The simulator path is untouched: threading is a runtime-only property
@@ -40,7 +43,6 @@
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/msg/message.h"
 #include "src/rt/mailbox.h"
 #include "src/smr/command.h"
 #include "src/smr/deployment.h"
@@ -48,34 +50,27 @@
 namespace rt {
 
 // One item on an (I/O -> shard) inbox edge. Slots are resident in the mailbox
-// ring; pushing moves the decoded message/command in, so slot string capacity
-// is recycled across messages (no per-message heap allocation once warm).
+// ring; pushing moves the command in, so slot capacity is recycled across
+// items (no per-item heap allocation once warm).
 struct ShardInput {
   enum class Kind : uint8_t {
     kNone,
-    kMessage,
-    kSubmit,
-    kCatchupReq,    // peer `from` restarted: stream it what it is missing
-    kCatchupEntry,  // one (dot, cmd) a peer streamed to us; apply idempotently
+    kSubmit,  // one client command, or the kBatch composite of a batch window
+    kPeer,    // a connected socket to shard `from` on a peer, hello exchanged
+    kReset,   // fault drill: drop the connection to peer `from`
   };
   Kind kind = Kind::kNone;
-  common::ProcessId from = 0;  // kMessage/kCatchupReq: sending peer
-  msg::Message m;              // kMessage
-  smr::Command cmd;            // kSubmit/kCatchupEntry
-  common::Dot dot;             // kCatchupEntry
-  uint64_t seq_floor = 0;      // kCatchupReq: requester's reserved floor
-  std::string blob;            // kCatchupReq: requester's encoded DotFrontier
+  smr::Command cmd;            // kSubmit
+  common::ProcessId from = 0;  // kPeer/kReset: the peer
+  int fd = -1;                 // kPeer: the socket
+  std::string unread;          // kPeer: bytes read past the hello
 };
 
-// One item on a (shard -> I/O) outbox edge.
+// One item on a (shard -> I/O) outbox edge: a completed client command.
 struct ShardOutput {
-  enum class Kind : uint8_t { kNone, kPeerSend, kReply, kCatchup };
-  Kind kind = Kind::kNone;
-  common::ProcessId to = 0;  // kPeerSend/kCatchup: destination peer
-  msg::Message m;            // kPeerSend
-  uint64_t client = 0;       // kReply: completed client command
+  uint64_t client = 0;
   uint64_t seq = 0;
-  std::string value;         // kReply: result; kCatchup: encoded entries frame
+  std::string value;
   bool dropped = false;
 };
 
@@ -85,12 +80,8 @@ struct ShardOutput {
 class ShardOutputSink {
  public:
   virtual ~ShardOutputSink() = default;
-  virtual void OnPeerSend(common::ProcessId to, msg::Message& m) = 0;
   virtual void OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
                              bool dropped) = 0;
-  // Catch-up entries frame for peer `to` (payload: varint shard, varint count,
-  // count x (dot, cmd)). Default drop: only the durable TCP node serves these.
-  virtual void OnCatchupFrame(common::ProcessId to, std::string&& payload) {}
 };
 
 class ShardRuntime {
@@ -98,6 +89,13 @@ class ShardRuntime {
   struct Options {
     bool pin_cores = false;      // pin worker s to CPU s % ncpus
     size_t mailbox_capacity = 8192;  // slots per edge
+  };
+
+  // A connected peer socket for one shard, handed over at Start().
+  struct PeerSocket {
+    common::ProcessId peer = common::kInvalidProcess;
+    int fd = -1;
+    std::string unread;  // bytes already read past the hello
   };
 
   // The deployment is borrowed and must outlive the runtime. Its per-shard
@@ -110,15 +108,23 @@ class ShardRuntime {
   // outbox; it must be thread-safe and cheap (ring an eventfd the I/O loop
   // watches). Set before Start().
   void set_output_notify(std::function<void()> fn) { output_notify_ = std::move(fn); }
+  // `fn(shard, peer)` is invoked from a worker thread when its connection to
+  // `peer` is lost (not when it is replaced or the worker stops), so the I/O
+  // tier can re-dial. Thread-safe, rare. Set before Start().
+  void set_peer_lost(std::function<void(uint32_t, common::ProcessId)> fn) {
+    peer_lost_ = std::move(fn);
+  }
 
-  // Spawns one worker per shard; each binds and starts its engine on its own
-  // thread, then serves its inbox/timers until Stop().
-  void Start(common::ProcessId self, uint32_t n);
+  // Spawns one worker per shard with its initial peer sockets (sockets[s] for
+  // shard s); each worker binds and starts its engine on its own thread, then
+  // serves its sockets, inbox and timers until Stop().
+  void Start(common::ProcessId self, uint32_t n,
+             std::vector<std::vector<PeerSocket>> sockets);
   // Signals every worker and joins them. Idempotent; safe if never started.
   void Stop();
-  // Joins a single shard's worker (fault drill: a dead shard thread must not
-  // deadlock the node — its inbox fills and further input is dropped). Returns
-  // false if already stopped.
+  // Joins a single shard's worker, which closes its peer sockets on the way
+  // out (fault drill: a dead shard thread must not wedge the node — its input
+  // is dropped). Returns false if already stopped.
   bool StopOne(uint32_t shard);
   // Crash drill one level down: stops one executor lane of one shard's pool
   // (deployment executor_threads > 0 only). The shard stays live; commands
@@ -126,23 +132,14 @@ class ShardRuntime {
   // false when there is no pool, or the lane/shard is already stopped.
   bool StopOneExecutor(uint32_t shard, uint32_t lane);
 
-  // I/O-thread entry points. Both move their argument into a mailbox slot on
-  // success; on a full inbox they leave it untouched and return false — the
-  // caller drains outboxes (freeing worker progress) and retries or drops.
-  bool RouteMessage(common::ProcessId from, msg::Message& m);
-  bool SubmitToShard(uint32_t shard, smr::Command& cmd);
-
-  // Catch-up plumbing (durable deployments). RouteCatchupRequest hands a
-  // restarted peer's advert (reserved floor + encoded frontier) to the shard
-  // worker, which OnRestore()s its engine and streams the missing log records
-  // back as kCatchup outputs; RouteCatchupEntry feeds one streamed record into
-  // the shard worker, which applies it through the normal Executed path (the
-  // durable admit filter makes re-delivery idempotent). Same full-inbox
-  // contract as above.
-  bool RouteCatchupRequest(uint32_t shard, common::ProcessId from,
-                           uint64_t seq_floor, std::string& frontier_blob);
-  bool RouteCatchupEntry(uint32_t shard, const common::Dot& dot,
-                         smr::Command& cmd);
+  // I/O-thread entry point: moves `in` into the shard's inbox. On a full
+  // inbox it leaves `in` untouched and returns false — the caller drains
+  // outboxes (freeing worker progress) and retries, or gives up with
+  // DropInput. A stopped shard swallows the input (closing a handed-over
+  // socket) and returns true.
+  bool Push(uint32_t shard, ShardInput& in);
+  // Gives up on an input that could not be pushed: counts it, closes its socket.
+  void DropInput(ShardInput& in);
 
   // Drains every outbox into the sink (I/O thread only). Returns items drained.
   size_t DrainOutputs(ShardOutputSink& sink);
@@ -151,17 +148,21 @@ class ShardRuntime {
 
   uint32_t partitions() const { return partitions_; }
   bool started() const { return started_; }
+  bool stopped(uint32_t shard) const;
   // Client commands applied across all shards (atomic; readable any time).
   uint64_t applied_ops() const {
     return applied_ops_.load(std::memory_order_acquire);
   }
-  // Inputs dropped on full/stopped shard inboxes (monitoring; atomic).
+  // Inputs dropped on full shard inboxes (monitoring; atomic).
   uint64_t inputs_dropped() const {
     return inputs_dropped_.load(std::memory_order_relaxed);
   }
-  void CountDroppedInput() {
-    inputs_dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
+
+  // Per-worker socket state, readable from any thread: the peer connections
+  // shard `shard`'s worker holds open, and the largest write buffer any of
+  // them held after a flush (bytes waiting for a slow or stalled reader).
+  uint32_t peer_connections(uint32_t shard) const;
+  uint64_t max_queued_bytes(uint32_t shard) const;
 
  private:
   class Worker;
@@ -170,6 +171,7 @@ class ShardRuntime {
   Options opts_;
   uint32_t partitions_;
   std::function<void()> output_notify_;
+  std::function<void(uint32_t, common::ProcessId)> peer_lost_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<uint64_t> applied_ops_{0};
   std::atomic<uint64_t> inputs_dropped_{0};

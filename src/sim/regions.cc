@@ -19,7 +19,7 @@ constexpr double kPathInflation = 1.25;
 constexpr double kBaseOverheadMs = 5.0;
 
 // Extra inflation per continent corridor, calibrated against public GCP inter-region
-// RTT measurements (see DESIGN.md). Europe-Asia terrestrial routes detour the most;
+// RTT measurements. Europe-Asia terrestrial routes detour the most;
 // transatlantic and transpacific cables are nearly direct.
 double CorridorFactor(Continent a, Continent b) {
   if (a > b) {

@@ -1,7 +1,7 @@
 // The WAN model: 17 Google Cloud Platform regions (the maximum available at the time of
 // the paper's measurement study, §5.1) with their physical coordinates.
 //
-// Substitution note (see DESIGN.md): the paper measured RTTs on GCP itself. We derive
+// Substitution note: the paper measured RTTs on GCP itself. We derive
 // RTTs from great-circle distances with a fiber-path inflation factor and a base
 // processing cost, the standard first-order model for WAN latency; this preserves the
 // latency *geometry* (relative distances, closest-quorum structure) that Atlas's

@@ -72,9 +72,10 @@ class Context {
 
 // The minimal stable storage a crash-stop replica carries across a restart: floors
 // below which the new incarnation must not reuse identifiers. In the paper's model
-// every process persists at least its sequence counter; snapshots/log persistence are
-// out of scope, so a restarted replica re-learns committed state via the protocols'
-// recovery paths instead of local replay.
+// every process persists at least its sequence counter. Deployments with a data_dir
+// also persist a commit log and snapshots (src/dur) and hand the recovered floors
+// back here; without one, a restarted replica re-learns committed state via the
+// protocols' recovery paths instead of local replay.
 struct RestartHint {
   uint64_t seq_floor = 0;   // first locally-owned sequence number / slot safe to use
   uint64_t exec_floor = 0;  // execution frontier at crash time (protocol-specific)

@@ -5,6 +5,11 @@
 // submit->broadcast->deliver traffic must allocate (almost) nothing.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -12,6 +17,7 @@
 
 #include "src/epaxos/epaxos.h"
 #include "src/paxos/multipaxos.h"
+#include "src/rt/node.h"
 #include "src/rt/shard_runtime.h"
 #include "src/sim/simulator.h"
 #include "src/smr/sharded_engine.h"
@@ -320,26 +326,21 @@ TEST(AllocTest, BatchEncodeReusesPerShardScratch) {
 }
 
 // Pins the threaded runtime's mailbox edges to the same recycled-slot
-// discipline as the simulator's event pool: moving decoded inputs through a
-// bounded SPSC ring (src/rt/mailbox.h) must not heap-allocate per message once
-// the ring's resident slots are warm. Items are ShardInput envelopes carrying
-// real msg::Message payloads — the exact type the I/O thread pushes — cycled
-// through the ring the way the routing/worker pair does (several in flight, so
-// distinct slots wrap).
+// discipline as the simulator's event pool: moving inputs through a bounded
+// SPSC ring (src/rt/mailbox.h) must not heap-allocate per item once the ring's
+// resident slots are warm. Items are ShardInput envelopes carrying real
+// submissions — the exact type the I/O thread pushes — cycled through the
+// ring the way the routing/worker pair does (several in flight, so distinct
+// slots wrap).
 TEST(AllocTest, MailboxSteadyStateIsAllocationFree) {
   rt::Mailbox<rt::ShardInput> box(8);
 
-  // Four in-flight envelopes, as a busy I/O thread would keep: each carries an
-  // MCommit with SSO-small key/value and inline deps.
+  // Four in-flight envelopes, as a busy I/O thread would keep: each carries a
+  // put with SSO-small key/value.
   std::vector<rt::ShardInput> inflight(4);
   for (uint64_t i = 0; i < inflight.size(); i++) {
-    msg::MCommit m;
-    m.cmd = smr::MakePut(1, i + 1, "key42", "value");
-    m.dot = common::Dot{0, i + 1};
-    m.deps = common::DepSet{common::Dot{0, 1}};
-    inflight[i].kind = rt::ShardInput::Kind::kMessage;
-    inflight[i].from = 0;
-    inflight[i].m = msg::Message{std::move(m)};
+    inflight[i].kind = rt::ShardInput::Kind::kSubmit;
+    inflight[i].cmd = smr::MakePut(1, i + 1, "key42", "value");
   }
 
   auto cycle = [&box, &inflight]() {
@@ -361,7 +362,41 @@ TEST(AllocTest, MailboxSteadyStateIsAllocationFree) {
   }
   uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_LE(allocs, 8u) << "mailbox push/pop allocated " << allocs << " times for "
-                        << kCycles * inflight.size() << " message transits";
+                        << kCycles * inflight.size() << " submission transits";
+}
+
+// Pins the client send path: once its frame buffer is warm, rt::Client::Send
+// encodes straight into it and writes it — no per-call copy of the command,
+// no fresh writer or vectors.
+TEST(AllocTest, ClientSendIsAllocationFreeOnceWarm) {
+  int lfd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(listen(lfd, 1), 0);
+  ASSERT_EQ(getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  rt::Client client("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_TRUE(client.Connect());
+  int server = accept(lfd, nullptr, nullptr);
+  ASSERT_GE(server, 0);
+
+  // A payload past the small-string size, so a copy of the command would allocate.
+  smr::Command cmd = smr::MakePut(1, 1, "key42", std::string(200, 'v'));
+  for (int i = 0; i < 8; i++) {
+    ASSERT_TRUE(client.Send(cmd));
+  }
+  uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const int kSends = 200;  // ~45 KB: the socket buffers absorb it unread
+  for (int i = 0; i < kSends; i++) {
+    ASSERT_TRUE(client.Send(cmd));
+  }
+  uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u) << kSends << " warm sends allocated " << allocs << " times";
+  close(server);
+  close(lfd);
 }
 
 }  // namespace

@@ -162,6 +162,18 @@ TEST(CodecTest, AllMessageTypesRoundTrip) {
   }
 }
 
+// The client send path encodes a ClientRequest straight from the command; the
+// bytes must be exactly what the generic envelope encoder writes.
+TEST(CodecTest, ClientRequestEncodesLikeTheEnvelope) {
+  smr::Command cmd = smr::MakePut(9, 42, "key", std::string(300, 'v'));
+  cmd.more_keys = {"a", "b"};
+  codec::Writer envelope;
+  msg::Encode(envelope, msg::Message{msg::ClientRequest{cmd}});
+  codec::Writer direct;
+  msg::EncodeClientRequest(direct, cmd);
+  EXPECT_EQ(direct.buffer(), envelope.buffer());
+}
+
 // Decoding arbitrary garbage must never crash and must report failure for truncations.
 TEST(CodecTest, FuzzDecodeIsSafe) {
   common::Rng rng(1234);

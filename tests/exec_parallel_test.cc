@@ -34,6 +34,7 @@
 #include "src/rt/node.h"
 #include "src/sim/simulator.h"
 #include "src/smr/deployment.h"
+#include "tests/rt_test_util.h"
 
 namespace exec {
 namespace {
@@ -290,103 +291,54 @@ ShardState SimulatorReference(smr::Protocol protocol, size_t executor_threads) {
 }
 
 void RunTcpCluster(smr::Protocol protocol, size_t executor_threads,
-                   uint16_t port_base, ShardState* out) {
-  for (int attempt = 0; attempt < 5; attempt++) {
-    uint16_t base =
-        static_cast<uint16_t>(port_base + attempt * 16 + (getpid() % 512));
-    std::vector<rt::PeerAddress> addrs;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      addrs.push_back(
-          rt::PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
-    }
-    std::vector<std::unique_ptr<smr::Deployment>> replicas;
-    std::vector<std::unique_ptr<rt::Node>> nodes;
-    bool bind_ok = true;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      replicas.push_back(std::make_unique<smr::Deployment>(
-          MakeOptions(protocol, /*threaded=*/true, executor_threads)));
-      nodes.push_back(std::make_unique<rt::Node>(i, addrs, replicas[i].get()));
-      if (!nodes.back()->Listen()) {
-        bind_ok = false;
-        break;
-      }
-    }
-    if (!bind_ok) {
-      continue;
-    }
-    std::vector<std::thread> node_threads;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      node_threads.emplace_back([&, i]() { nodes[i]->Run(); });
-    }
+                   ShardState* out) {
+  std::vector<std::unique_ptr<smr::Deployment>> replicas;
+  for (uint32_t i = 0; i < kNodes; i++) {
+    replicas.push_back(std::make_unique<smr::Deployment>(
+        MakeOptions(protocol, /*threaded=*/true, executor_threads)));
+  }
+  rt::LoopbackCluster cluster(replicas);
+  ASSERT_TRUE(cluster.ok());
 
-    std::atomic<int> failures{0};
-    std::vector<std::thread> client_threads;
-    for (uint64_t c = 1; c <= kClients; c++) {
-      client_threads.emplace_back([&, c]() {
-        rt::Client client("127.0.0.1", addrs[c % kNodes].port);
-        bool connected = false;
-        for (int i = 0; i < 200 && !connected; i++) {
-          connected = client.Connect();
-          if (!connected) {
-            usleep(20 * 1000);
-          }
-        }
-        if (!connected) {
+  std::atomic<int> failures{0};
+  std::vector<std::thread> client_threads;
+  for (uint64_t c = 1; c <= kClients; c++) {
+    client_threads.emplace_back([&, c]() {
+      rt::Client client("127.0.0.1", cluster.port(static_cast<uint32_t>(c % kNodes)));
+      if (!rt::ConnectWithRetry(client)) {
+        failures.fetch_add(1);
+        return;
+      }
+      std::string result;
+      for (uint64_t i = 1; i <= kOpsPerClient; i++) {
+        if (!client.Call(ScriptedOp(c, i), &result)) {
           failures.fetch_add(1);
           return;
         }
-        std::string result;
-        for (uint64_t i = 1; i <= kOpsPerClient; i++) {
-          if (!client.Call(ScriptedOp(c, i), &result)) {
-            failures.fetch_add(1);
-            return;
-          }
-        }
-      });
-    }
-    for (auto& t : client_threads) {
-      t.join();
-    }
-
-    const uint64_t expected = kClients * kOpsPerClient;
-    if (failures.load() == 0) {
-      auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      bool drained = false;
-      while (!drained && std::chrono::steady_clock::now() < deadline) {
-        drained = true;
-        for (auto& node : nodes) {
-          if (node->applied_ops() < expected) {
-            drained = false;
-            break;
-          }
-        }
-        if (!drained) {
-          usleep(10 * 1000);
-        }
       }
-    }
-    for (auto& node : nodes) {
-      node->Stop();
-    }
-    for (auto& t : node_threads) {
-      t.join();
-    }
-    ASSERT_EQ(failures.load(), 0) << "client calls failed";
-    for (auto& node : nodes) {
-      EXPECT_EQ(node->applied_ops(), expected) << "node failed to drain";
-    }
-    for (uint32_t p = 0; p < kNodes; p++) {
-      for (uint32_t s = 0; s < kPartitions; s++) {
-        out->digests.push_back(replicas[p]->store(s).StateDigest());
-        out->counts.push_back(replicas[p]->applied_count(s));
-      }
-    }
-    return;
+    });
   }
-  FAIL() << "could not bind a port block after 5 attempts";
+  for (auto& t : client_threads) {
+    t.join();
+  }
+
+  const uint64_t expected = kClients * kOpsPerClient;
+  bool drained = failures.load() == 0 && cluster.WaitApplied(expected);
+  cluster.Stop();
+  ASSERT_EQ(failures.load(), 0) << "client calls failed";
+  EXPECT_TRUE(drained);
+  for (const auto& node : cluster.nodes()) {
+    EXPECT_EQ(node->applied_ops(), expected) << "node failed to drain";
+  }
+  for (uint32_t p = 0; p < kNodes; p++) {
+    for (uint32_t s = 0; s < kPartitions; s++) {
+      out->digests.push_back(replicas[p]->store(s).StateDigest());
+      out->counts.push_back(replicas[p]->applied_count(s));
+    }
+  }
 }
 
-void ExpectParity(smr::Protocol protocol, uint16_t port_base) {
+void ExpectParity(smr::Protocol protocol) {
   // Inline (plain store) and laned (inline-over-lanes) simulator references
   // must agree — the store decomposition changes nothing single-threadedly.
   ShardState inline_ref = SimulatorReference(protocol, /*executor_threads=*/0);
@@ -394,11 +346,9 @@ void ExpectParity(smr::Protocol protocol, uint16_t port_base) {
   ASSERT_EQ(laned_ref.digests, inline_ref.digests);
   ASSERT_EQ(laned_ref.counts, inline_ref.counts);
   // Threaded runtime with executor pools at every lane count == the reference.
-  uint16_t next_base = port_base;
   for (size_t threads : {1u, 2u, 4u}) {
     ShardState got;
-    RunTcpCluster(protocol, threads, next_base, &got);
-    next_base = static_cast<uint16_t>(next_base + 700);
+    RunTcpCluster(protocol, threads, &got);
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
@@ -410,15 +360,15 @@ void ExpectParity(smr::Protocol protocol, uint16_t port_base) {
 }
 
 TEST(ExecParallelClusterTest, AtlasDigestParityAcrossExecutorThreads) {
-  ExpectParity(smr::Protocol::kAtlas, 47000);
+  ExpectParity(smr::Protocol::kAtlas);
 }
 
 TEST(ExecParallelClusterTest, EPaxosDigestParityAcrossExecutorThreads) {
-  ExpectParity(smr::Protocol::kEPaxos, 49200);
+  ExpectParity(smr::Protocol::kEPaxos);
 }
 
 TEST(ExecParallelClusterTest, MenciusDigestParityAcrossExecutorThreads) {
-  ExpectParity(smr::Protocol::kMencius, 51400);
+  ExpectParity(smr::Protocol::kMencius);
 }
 
 // ---------------------------------------------------------------------------
@@ -428,121 +378,57 @@ TEST(ExecParallelClusterTest, MenciusDigestParityAcrossExecutorThreads) {
 TEST(ExecParallelClusterTest, CrashedExecutorLaneDoesNotWedgeNode) {
   constexpr size_t kLanes = 2;
   constexpr uint32_t kDeadLane = 1;
-  for (int attempt = 0; attempt < 5; attempt++) {
-    uint16_t base =
-        static_cast<uint16_t>(53600 + attempt * 16 + (getpid() % 512));
-    std::vector<rt::PeerAddress> addrs;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      addrs.push_back(
-          rt::PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
-    }
-    std::vector<std::unique_ptr<smr::Deployment>> replicas;
-    std::vector<std::unique_ptr<rt::Node>> nodes;
-    bool bind_ok = true;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      replicas.push_back(std::make_unique<smr::Deployment>(
-          MakeOptions(smr::Protocol::kAtlas, /*threaded=*/true, kLanes)));
-      nodes.push_back(std::make_unique<rt::Node>(i, addrs, replicas[i].get()));
-      if (!nodes.back()->Listen()) {
-        bind_ok = false;
-        break;
-      }
-    }
-    if (!bind_ok) {
-      continue;
-    }
-    std::vector<std::thread> node_threads;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      node_threads.emplace_back([&, i]() { nodes[i]->Run(); });
-    }
-
-    // Keys that avoid the doomed lane (lane routing is the same stable hash on
-    // every node), so post-crash commands apply — and count — everywhere.
-    LanedStore router(kLanes);
-    std::vector<std::string> live_keys;
-    for (int i = 0; live_keys.size() < 8 && i < 10000; i++) {
-      std::string k = "live" + std::to_string(i);
-      if (router.LaneOfKey(k) != kDeadLane) {
-        live_keys.push_back(k);
-      }
-    }
-
-    bool connected = false;
-    uint64_t phase1_ok = 0;
-    uint64_t phase2_ok = 0;
-    bool stop_one = false;
-    bool stop_again = true;
-    const uint64_t kPhaseOps = 8;
-    auto drained_to = [&nodes](uint64_t target) {
-      auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while (std::chrono::steady_clock::now() < deadline) {
-        bool ok = true;
-        for (auto& node : nodes) {
-          if (node->applied_ops() < target) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) {
-          return true;
-        }
-        usleep(10 * 1000);
-      }
-      return false;
-    };
-    bool drain1 = false;
-    bool drain2 = false;
-    {
-      rt::Client client("127.0.0.1", addrs[1].port);
-      for (int i = 0; i < 200 && !connected; i++) {
-        connected = client.Connect();
-        if (!connected) {
-          usleep(20 * 1000);
-        }
-      }
-      if (connected) {
-        std::string result;
-        // Phase 1: all lanes healthy.
-        for (uint64_t i = 1; i <= kPhaseOps; i++) {
-          if (client.Call(ScriptedOp(1, i), &result)) {
-            phase1_ok++;
-          }
-        }
-        drain1 = drained_to(kPhaseOps);
-
-        // Kill lane kDeadLane of shard 0's pool on node 0. The shard worker,
-        // its other lane, the node's I/O loop all stay up.
-        stop_one = nodes[0]->shard_runtime()->StopOneExecutor(0, kDeadLane);
-        stop_again = nodes[0]->shard_runtime()->StopOneExecutor(0, kDeadLane);
-
-        // Phase 2: surviving-lane keys complete on every node.
-        for (uint64_t i = 0; i < kPhaseOps; i++) {
-          smr::Command cmd = smr::MakePut(
-              2, i + 1, live_keys[i % live_keys.size()], "after-crash");
-          if (client.Call(cmd, &result)) {
-            phase2_ok++;
-          }
-        }
-        drain2 = drained_to(kPhaseOps * 2);
-      }
-    }
-    for (auto& node : nodes) {
-      node->Stop();
-    }
-    for (auto& t : node_threads) {
-      t.join();  // the clean-shutdown assertion: a wedged worker hangs here
-    }
-    ASSERT_TRUE(connected);
-    ASSERT_GE(live_keys.size(), 8u);
-    EXPECT_TRUE(stop_one) << "StopOneExecutor should stop a running lane";
-    EXPECT_FALSE(stop_again) << "second StopOneExecutor must report dead lane";
-    EXPECT_EQ(phase1_ok, kPhaseOps);
-    EXPECT_TRUE(drain1) << "healthy phase failed to drain";
-    EXPECT_EQ(phase2_ok, kPhaseOps);
-    EXPECT_TRUE(drain2) << "post-crash phase failed to drain on all nodes";
-    return;
+  std::vector<std::unique_ptr<smr::Deployment>> replicas;
+  for (uint32_t i = 0; i < kNodes; i++) {
+    replicas.push_back(std::make_unique<smr::Deployment>(
+        MakeOptions(smr::Protocol::kAtlas, /*threaded=*/true, kLanes)));
   }
-  FAIL() << "could not bind a port block after 5 attempts";
+  rt::LoopbackCluster cluster(replicas);
+  ASSERT_TRUE(cluster.ok());
+
+  // Keys that avoid the doomed lane (lane routing is the same stable hash on
+  // every node), so post-crash commands apply — and count — everywhere.
+  LanedStore router(kLanes);
+  std::vector<std::string> live_keys;
+  for (int i = 0; live_keys.size() < 8 && i < 10000; i++) {
+    std::string k = "live" + std::to_string(i);
+    if (router.LaneOfKey(k) != kDeadLane) {
+      live_keys.push_back(k);
+    }
+  }
+  ASSERT_GE(live_keys.size(), 8u);
+
+  const uint64_t kPhaseOps = 8;
+  rt::Client client("127.0.0.1", cluster.port(1));
+  ASSERT_TRUE(rt::ConnectWithRetry(client));
+  std::string result;
+  // Phase 1: all lanes healthy.
+  uint64_t phase1_ok = 0;
+  for (uint64_t i = 1; i <= kPhaseOps; i++) {
+    phase1_ok += client.Call(ScriptedOp(1, i), &result) ? 1 : 0;
+  }
+  EXPECT_EQ(phase1_ok, kPhaseOps);
+  EXPECT_TRUE(cluster.WaitApplied(kPhaseOps)) << "healthy phase failed to drain";
+
+  // Kill lane kDeadLane of shard 0's pool on node 0. The shard worker,
+  // its other lane, the node's I/O loop all stay up.
+  rt::ShardRuntime* runtime = cluster.node(0).shard_runtime();
+  EXPECT_TRUE(runtime->StopOneExecutor(0, kDeadLane))
+      << "StopOneExecutor should stop a running lane";
+  EXPECT_FALSE(runtime->StopOneExecutor(0, kDeadLane))
+      << "second StopOneExecutor must report dead lane";
+
+  // Phase 2: surviving-lane keys complete on every node.
+  uint64_t phase2_ok = 0;
+  for (uint64_t i = 0; i < kPhaseOps; i++) {
+    smr::Command cmd =
+        smr::MakePut(2, i + 1, live_keys[i % live_keys.size()], "after-crash");
+    phase2_ok += client.Call(cmd, &result) ? 1 : 0;
+  }
+  EXPECT_EQ(phase2_ok, kPhaseOps);
+  EXPECT_TRUE(cluster.WaitApplied(kPhaseOps * 2))
+      << "post-crash phase failed to drain on all nodes";
+  cluster.Stop();  // the clean-shutdown assertion: a wedged worker hangs here
 }
 
 }  // namespace

@@ -19,6 +19,9 @@
 // back gives up with gave_up() accounting instead of hanging.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -33,6 +36,7 @@
 #include "src/rt/node.h"
 #include "src/sim/simulator.h"
 #include "src/smr/deployment.h"
+#include "tests/rt_test_util.h"
 
 namespace rt {
 namespace {
@@ -187,19 +191,21 @@ ShardState SimulatorReference(smr::Protocol protocol, const std::vector<Op>& ops
 
 class DrillCluster {
  public:
-  DrillCluster(smr::Protocol protocol, const std::string& data_dir,
-               uint16_t port_base)
+  // Every node binds an ephemeral port; a restarted node re-binds its old one.
+  DrillCluster(smr::Protocol protocol, const std::string& data_dir)
       : protocol_(protocol), data_dir_(data_dir) {
-    uint16_t base =
-        static_cast<uint16_t>(port_base + (getpid() % 512));
-    for (uint32_t i = 0; i < kNodes; i++) {
-      addrs_.push_back(PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
-    }
     replicas_.resize(kNodes);
     nodes_.resize(kNodes);
     threads_.resize(kNodes);
     for (uint32_t i = 0; i < kNodes; i++) {
-      ok_ = ok_ && StartNode(i, /*expect_recovery=*/false);
+      replicas_[i] = std::make_unique<smr::Deployment>(
+          MakeOptions(protocol_, data_dir_, i));
+      nodes_[i] = std::make_unique<Node>(i, EphemeralAddrs(kNodes), replicas_[i].get());
+    }
+    addrs_ = ListenAll(nodes_);
+    ok_ = !addrs_.empty();
+    for (uint32_t i = 0; i < kNodes && ok_; i++) {
+      threads_[i] = std::thread([this, i]() { nodes_[i]->Run(); });
     }
   }
 
@@ -208,6 +214,7 @@ class DrillCluster {
   bool ok() const { return ok_; }
   uint16_t port(uint32_t n) const { return addrs_[n].port; }
 
+  // Restarts node i from its data_dir on its old port.
   bool StartNode(uint32_t i, bool expect_recovery) {
     replicas_[i] = std::make_unique<smr::Deployment>(
         MakeOptions(protocol_, data_dir_, i));
@@ -216,15 +223,7 @@ class DrillCluster {
       return false;
     }
     nodes_[i] = std::make_unique<Node>(i, addrs_, replicas_[i].get());
-    // The freed listen port can lag a moment behind the old node's teardown.
-    bool listening = false;
-    for (int attempt = 0; attempt < 50 && !listening; attempt++) {
-      listening = nodes_[i]->Listen();
-      if (!listening) {
-        usleep(20 * 1000);
-      }
-    }
-    if (!listening) {
+    if (!nodes_[i]->Listen()) {
       ADD_FAILURE() << "node " << i << " could not bind port " << addrs_[i].port;
       return false;
     }
@@ -277,14 +276,7 @@ class DrillCluster {
           target = (target + 1) % kNodes;
         }
         Client client("127.0.0.1", addrs_[target].port);
-        bool connected = false;
-        for (int i = 0; i < 250 && !connected; i++) {
-          connected = client.Connect();
-          if (!connected) {
-            usleep(20 * 1000);
-          }
-        }
-        if (!connected) {
+        if (!ConnectWithRetry(client)) {
           failures.fetch_add(1);
           return;
         }
@@ -364,10 +356,9 @@ class DrillCluster {
 // `traffic_while_down` is off for Mencius: the TCP runtime has no failure
 // detector, and Mencius needs the victim's slots revoked to commit without it.
 void RunPackDrill(const fault::Scenario& pack, smr::Protocol protocol,
-                  uint16_t port_base, bool traffic_while_down,
-                  const std::string& tag) {
+                  bool traffic_while_down, const std::string& tag) {
   TempDir dir(tag);
-  DrillCluster cluster(protocol, dir.path, port_base);
+  DrillCluster cluster(protocol, dir.path);
   ASSERT_TRUE(cluster.ok());
 
   Script script;
@@ -422,22 +413,22 @@ const fault::Scenario& Pack(const std::string& name) {
 }
 
 TEST(RtRecoveryTest, KillOneReplicaAtlas) {
-  RunPackDrill(Pack("kill_one_replica"), smr::Protocol::kAtlas, 47000,
+  RunPackDrill(Pack("kill_one_replica"), smr::Protocol::kAtlas,
                /*traffic_while_down=*/true, "kill_atlas");
 }
 
 TEST(RtRecoveryTest, KillOneReplicaEPaxos) {
-  RunPackDrill(Pack("kill_one_replica"), smr::Protocol::kEPaxos, 47100,
+  RunPackDrill(Pack("kill_one_replica"), smr::Protocol::kEPaxos,
                /*traffic_while_down=*/true, "kill_epaxos");
 }
 
 TEST(RtRecoveryTest, KillOneReplicaMencius) {
-  RunPackDrill(Pack("kill_one_replica"), smr::Protocol::kMencius, 47200,
+  RunPackDrill(Pack("kill_one_replica"), smr::Protocol::kMencius,
                /*traffic_while_down=*/false, "kill_mencius");
 }
 
 TEST(RtRecoveryTest, RollingRestartsAtlas) {
-  RunPackDrill(Pack("rolling_restarts"), smr::Protocol::kAtlas, 47300,
+  RunPackDrill(Pack("rolling_restarts"), smr::Protocol::kAtlas,
                /*traffic_while_down=*/true, "rolling_atlas");
 }
 
@@ -452,7 +443,7 @@ TEST(RtRecoveryTest, RollingRestartsAtlas) {
 // the incarnation), which is at-least-once — value-idempotent for kPut.
 TEST(RtRecoveryTest, ClientReconnectsAndResubmitsAcrossNodeRestart) {
   TempDir dir("client_retry");
-  DrillCluster cluster(smr::Protocol::kAtlas, dir.path, 47400);
+  DrillCluster cluster(smr::Protocol::kAtlas, dir.path);
   ASSERT_TRUE(cluster.ok());
 
   constexpr uint32_t kVictim = 2;
@@ -464,12 +455,7 @@ TEST(RtRecoveryTest, ClientReconnectsAndResubmitsAcrossNodeRestart) {
     Client::Options copts;
     copts.max_retries = 300;  // ~30s of 100ms-backoff retries
     Client client("127.0.0.1", cluster.port(kVictim), copts);
-    for (int i = 0; i < 250 && !client.connected(); i++) {
-      if (!client.Connect()) {
-        usleep(20 * 1000);
-      }
-    }
-    if (!client.connected()) {
+    if (!ConnectWithRetry(client)) {
       failures.fetch_add(1);
       return;
     }
@@ -521,13 +507,22 @@ TEST(RtRecoveryTest, ClientGivesUpAfterBoundedRetries) {
   Client::Options copts;
   copts.max_retries = 2;
   copts.retry_backoff = 10 * common::kMillisecond;
-  // A port with (almost certainly) no listener.
-  Client client("127.0.0.1", 47999, copts);
+  // A port bound but never listened on: every connect is refused.
+  int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  Client client("127.0.0.1", ntohs(addr.sin_port), copts);
   std::string result;
   EXPECT_FALSE(client.Call(smr::MakePut(1, 1, "k", "v"), &result));
   EXPECT_EQ(client.gave_up(), 1u);
   EXPECT_FALSE(client.Call(smr::MakePut(1, 2, "k", "v"), &result));
   EXPECT_EQ(client.gave_up(), 2u);
+  close(fd);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "src/rt/node.h"
 #include "src/sim/simulator.h"
 #include "src/smr/deployment.h"
+#include "tests/rt_test_util.h"
 
 namespace rt {
 namespace {
@@ -103,102 +104,52 @@ ShardState SimulatorReference() {
 // blocking clients (one thread per client), waits for every node to apply all
 // commands, and returns the per-(node, shard) state.
 void RunTcpCluster(common::Duration batch_window, ShardState* out) {
-  for (int attempt = 0; attempt < 5; attempt++) {
-    uint16_t base =
-        static_cast<uint16_t>(43000 + attempt * 16 + (getpid() % 512));
-    std::vector<PeerAddress> addrs;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      addrs.push_back(PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
-    }
-    std::vector<std::unique_ptr<smr::Deployment>> replicas;
-    std::vector<std::unique_ptr<Node>> nodes;
-    bool bind_ok = true;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      replicas.push_back(std::make_unique<smr::Deployment>(MakeOptions(batch_window)));
-      nodes.push_back(std::make_unique<Node>(i, addrs, replicas[i].get()));
-      if (!nodes.back()->Listen()) {
-        bind_ok = false;
-        break;
-      }
-    }
-    if (!bind_ok) {
-      continue;  // port collision; retry with the next block
-    }
-    std::vector<std::thread> node_threads;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      node_threads.emplace_back([&, i]() { nodes[i]->Run(); });
-    }
+  std::vector<std::unique_ptr<smr::Deployment>> replicas;
+  for (uint32_t i = 0; i < kNodes; i++) {
+    replicas.push_back(std::make_unique<smr::Deployment>(MakeOptions(batch_window)));
+  }
+  LoopbackCluster cluster(replicas);
+  ASSERT_TRUE(cluster.ok());
 
-    std::atomic<int> failures{0};
-    std::vector<std::thread> client_threads;
-    for (uint64_t c = 1; c <= kClients; c++) {
-      client_threads.emplace_back([&, c]() {
-        Client client("127.0.0.1", addrs[c % kNodes].port);
-        bool connected = false;
-        for (int i = 0; i < 200 && !connected; i++) {
-          connected = client.Connect();
-          if (!connected) {
-            usleep(20 * 1000);
-          }
-        }
-        if (!connected) {
+  std::atomic<int> failures{0};
+  std::vector<std::thread> client_threads;
+  for (uint64_t c = 1; c <= kClients; c++) {
+    client_threads.emplace_back([&, c]() {
+      Client client("127.0.0.1", cluster.port(static_cast<uint32_t>(c % kNodes)));
+      if (!ConnectWithRetry(client)) {
+        failures.fetch_add(1);
+        return;
+      }
+      std::string result;
+      for (uint64_t i = 1; i <= kOpsPerClient; i++) {
+        if (!client.Call(ScriptedOp(c, i), &result)) {
           failures.fetch_add(1);
           return;
         }
-        std::string result;
-        for (uint64_t i = 1; i <= kOpsPerClient; i++) {
-          if (!client.Call(ScriptedOp(c, i), &result)) {
-            failures.fetch_add(1);
-            return;
-          }
-        }
-      });
-    }
-    for (auto& t : client_threads) {
-      t.join();
-    }
-
-    // Every node executes every command; wait (with a guard) for the commit
-    // stream to drain everywhere before stopping the loops. Nodes are always
-    // stopped and joined before any assertion fires — a fatal failure with
-    // joinable node threads would std::terminate the whole binary.
-    const uint64_t expected = kClients * kOpsPerClient;
-    if (failures.load() == 0) {
-      auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      bool drained = false;
-      while (!drained && std::chrono::steady_clock::now() < deadline) {
-        drained = true;
-        for (auto& node : nodes) {
-          if (node->applied_ops() < expected) {
-            drained = false;
-            break;
-          }
-        }
-        if (!drained) {
-          usleep(10 * 1000);
-        }
       }
-    }
-    for (auto& node : nodes) {
-      node->Stop();
-    }
-    for (auto& t : node_threads) {
-      t.join();
-    }
-    ASSERT_EQ(failures.load(), 0) << "client calls failed";
-    for (auto& node : nodes) {
-      EXPECT_EQ(node->applied_ops(), expected) << "node failed to drain";
-    }
-
-    for (uint32_t p = 0; p < kNodes; p++) {
-      for (uint32_t s = 0; s < kPartitions; s++) {
-        out->digests.push_back(replicas[p]->store(s).StateDigest());
-        out->counts.push_back(replicas[p]->applied_count(s));
-      }
-    }
-    return;  // success
+    });
   }
-  FAIL() << "could not bind a port block after 5 attempts";
+  for (auto& t : client_threads) {
+    t.join();
+  }
+
+  // Every node executes every command; wait (with a guard) for the commit
+  // stream to drain everywhere before stopping the loops.
+  const uint64_t expected = kClients * kOpsPerClient;
+  bool drained = failures.load() == 0 && cluster.WaitApplied(expected);
+  cluster.Stop();
+  ASSERT_EQ(failures.load(), 0) << "client calls failed";
+  EXPECT_TRUE(drained);
+  for (const auto& node : cluster.nodes()) {
+    EXPECT_EQ(node->applied_ops(), expected) << "node failed to drain";
+  }
+
+  for (uint32_t p = 0; p < kNodes; p++) {
+    for (uint32_t s = 0; s < kPartitions; s++) {
+      out->digests.push_back(replicas[p]->store(s).StateDigest());
+      out->counts.push_back(replicas[p]->applied_count(s));
+    }
+  }
 }
 
 void ExpectConvergedAndMatching(const ShardState& tcp, const ShardState& ref) {
@@ -250,79 +201,34 @@ TEST(RtShardedTest, BatchedSubmissionConvergesToSameState) {
 // Cross-partition client commands cannot be ordered by one shard; the node must
 // reject them cleanly (dropped reply) instead of crashing the replica.
 TEST(RtShardedTest, UnroutableClientCommandIsRejected) {
-  for (int attempt = 0; attempt < 5; attempt++) {
-    uint16_t base =
-        static_cast<uint16_t>(44000 + attempt * 16 + (getpid() % 512));
-    std::vector<PeerAddress> addrs;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      addrs.push_back(PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
-    }
-    std::vector<std::unique_ptr<smr::Deployment>> replicas;
-    std::vector<std::unique_ptr<Node>> nodes;
-    bool bind_ok = true;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      replicas.push_back(std::make_unique<smr::Deployment>(MakeOptions(0)));
-      nodes.push_back(std::make_unique<Node>(i, addrs, replicas[i].get()));
-      if (!nodes.back()->Listen()) {
-        bind_ok = false;
-        break;
-      }
-    }
-    if (!bind_ok) {
-      continue;
-    }
-    std::vector<std::thread> node_threads;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      node_threads.emplace_back([&, i]() { nodes[i]->Run(); });
-    }
-    // Run all client calls first, then stop and join the node threads before any
-    // assertion fires (a fatal failure with joinable threads would terminate).
-    bool connected = false;
-    bool split_ok = false;
-    bool routable_ok = false;
-    std::string split_result;
-    std::string routable_result;
-    std::string other;
-    {
-      Client client("127.0.0.1", addrs[0].port);
-      for (int i = 0; i < 200 && !connected; i++) {
-        connected = client.Connect();
-        if (!connected) {
-          usleep(20 * 1000);
-        }
-      }
-      if (connected) {
-        // Find two keys in different partitions and span them with one kMPut.
-        smr::Partitioner part(kPartitions);
-        for (int i = 0; other.empty() && i < 1000; i++) {
-          std::string k = "x" + std::to_string(i);
-          if (part.ShardOf(k) != part.ShardOf("base")) {
-            other = k;
-          }
-        }
-        smr::Command split = smr::MakePut(1, 1, "base", "v");
-        split.op = smr::Op::kMPut;
-        split.more_keys.push_back(other);
-        split_ok = client.Call(split, &split_result);
-        // The replica is still healthy: a routable command completes normally.
-        routable_ok = client.Call(smr::MakePut(1, 2, "base", "v"), &routable_result);
-      }
-    }
-    for (auto& node : nodes) {
-      node->Stop();
-    }
-    for (auto& t : node_threads) {
-      t.join();
-    }
-    ASSERT_TRUE(connected);
-    ASSERT_FALSE(other.empty());
-    ASSERT_TRUE(split_ok);
-    EXPECT_EQ(split_result, "<dropped>");
-    ASSERT_TRUE(routable_ok);
-    EXPECT_EQ(routable_result, "");
-    return;
+  std::vector<std::unique_ptr<smr::Deployment>> replicas;
+  for (uint32_t i = 0; i < kNodes; i++) {
+    replicas.push_back(std::make_unique<smr::Deployment>(MakeOptions(0)));
   }
-  FAIL() << "could not bind a port block after 5 attempts";
+  LoopbackCluster cluster(replicas);
+  ASSERT_TRUE(cluster.ok());
+  Client client("127.0.0.1", cluster.port(0));
+  ASSERT_TRUE(ConnectWithRetry(client));
+
+  // Find two keys in different partitions and span them with one kMPut.
+  smr::Partitioner part(kPartitions);
+  std::string other;
+  for (int i = 0; other.empty() && i < 1000; i++) {
+    std::string k = "x" + std::to_string(i);
+    if (part.ShardOf(k) != part.ShardOf("base")) {
+      other = k;
+    }
+  }
+  ASSERT_FALSE(other.empty());
+  smr::Command split = smr::MakePut(1, 1, "base", "v");
+  split.op = smr::Op::kMPut;
+  split.more_keys.push_back(other);
+  std::string result;
+  ASSERT_TRUE(client.Call(split, &result));
+  EXPECT_EQ(result, "<dropped>");
+  // The replica is still healthy: a routable command completes normally.
+  ASSERT_TRUE(client.Call(smr::MakePut(1, 2, "base", "v"), &result));
+  EXPECT_EQ(result, "");
 }
 
 }  // namespace

@@ -1,18 +1,22 @@
 // Thread-per-shard runtime over real TCP: 3 nodes, P=4, one worker thread per
-// shard behind SPSC mailboxes (smr::DeploymentOptions::threaded).
+// shard, each owning its own connection to the same shard on every peer
+// (smr::DeploymentOptions::threaded).
 //
-// The threaded I/O tier must be a pure transport change: the same fixed
-// command script produces byte-identical per-(node, shard) store digests and
-// applied counts as (a) the single-driver TCP runtime and (b) the
-// discrete-event simulator driving the same Deployment assembly. Each client
-// owns a disjoint key set and blocks on every call, so the per-key apply order
-// is the client's program order in every run — which is what makes the
-// cross-driver digest comparison exact even for order-sensitive kRmw.
+// The threaded tier must be a pure transport change: the same fixed command
+// script produces byte-identical per-(node, shard) store digests and applied
+// counts as (a) the single-driver TCP runtime and (b) the discrete-event
+// simulator driving the same Deployment assembly. Each client owns a disjoint
+// key set and blocks on every call, so the per-key apply order is the client's
+// program order in every run — which is what makes the cross-driver digest
+// comparison exact even for order-sensitive kRmw.
 //
-// The crash drill stops one shard's worker thread mid-run: the dead shard's
-// input is dropped (never wedging the I/O thread), every other shard keeps
-// committing across all three nodes, and full-cluster shutdown still joins
-// cleanly (the 120s ctest timeout is the deadlock guard).
+// The crash drill stops one shard's worker thread mid-run: the dead worker
+// closes its sockets, its input is dropped (never wedging the I/O thread), no
+// live worker queues frames for it, every other shard keeps committing across
+// all three nodes, and full-cluster shutdown still joins cleanly (the 120s
+// ctest timeout is the deadlock guard). The reset drill drops single
+// (peer, shard) connections mid-traffic: the mesh re-dials them and the
+// cluster still converges to the simulator's digests.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -28,6 +32,7 @@
 #include "src/sim/simulator.h"
 #include "src/smr/deployment.h"
 #include "src/smr/partitioner.h"
+#include "tests/rt_test_util.h"
 
 namespace rt {
 namespace {
@@ -100,103 +105,69 @@ ShardState SimulatorReference() {
   return st;
 }
 
-// Brings up a 3-node loopback cluster (threaded or single-driver), drives the
-// script through blocking clients, drains, and returns per-(node, shard) state.
-void RunTcpCluster(common::Duration batch_window, bool threaded, uint16_t port_base,
-                   ShardState* out) {
-  for (int attempt = 0; attempt < 5; attempt++) {
-    uint16_t base =
-        static_cast<uint16_t>(port_base + attempt * 16 + (getpid() % 512));
-    std::vector<PeerAddress> addrs;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      addrs.push_back(PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
-    }
-    std::vector<std::unique_ptr<smr::Deployment>> replicas;
-    std::vector<std::unique_ptr<Node>> nodes;
-    bool bind_ok = true;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      replicas.push_back(
-          std::make_unique<smr::Deployment>(MakeOptions(batch_window, threaded)));
-      nodes.push_back(std::make_unique<Node>(i, addrs, replicas[i].get()));
-      if (!nodes.back()->Listen()) {
-        bind_ok = false;
-        break;
+// Blocking clients drive ops [first, last] of the script against `cluster`
+// (client c at node c % 3). Returns false if any call failed.
+bool RunScript(LoopbackCluster& cluster, uint64_t first = 1,
+               uint64_t last = kOpsPerClient) {
+  std::atomic<int> failures{0};
+  std::vector<std::thread> client_threads;
+  for (uint64_t c = 1; c <= kClients; c++) {
+    client_threads.emplace_back([&, c]() {
+      Client client("127.0.0.1", cluster.port(static_cast<uint32_t>(c % kNodes)));
+      if (!ConnectWithRetry(client)) {
+        failures.fetch_add(1);
+        return;
       }
-    }
-    if (!bind_ok) {
-      continue;
-    }
-    std::vector<std::thread> node_threads;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      node_threads.emplace_back([&, i]() { nodes[i]->Run(); });
-    }
-
-    std::atomic<int> failures{0};
-    std::vector<std::thread> client_threads;
-    for (uint64_t c = 1; c <= kClients; c++) {
-      client_threads.emplace_back([&, c]() {
-        Client client("127.0.0.1", addrs[c % kNodes].port);
-        bool connected = false;
-        for (int i = 0; i < 200 && !connected; i++) {
-          connected = client.Connect();
-          if (!connected) {
-            usleep(20 * 1000);
-          }
-        }
-        if (!connected) {
+      std::string result;
+      for (uint64_t i = first; i <= last; i++) {
+        if (!client.Call(ScriptedOp(c, i), &result)) {
           failures.fetch_add(1);
           return;
         }
-        std::string result;
-        for (uint64_t i = 1; i <= kOpsPerClient; i++) {
-          if (!client.Call(ScriptedOp(c, i), &result)) {
-            failures.fetch_add(1);
-            return;
-          }
-        }
-      });
-    }
-    for (auto& t : client_threads) {
-      t.join();
-    }
-
-    const uint64_t expected = kClients * kOpsPerClient;
-    if (failures.load() == 0) {
-      auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      bool drained = false;
-      while (!drained && std::chrono::steady_clock::now() < deadline) {
-        drained = true;
-        for (auto& node : nodes) {
-          if (node->applied_ops() < expected) {
-            drained = false;
-            break;
-          }
-        }
-        if (!drained) {
-          usleep(10 * 1000);
-        }
       }
-    }
-    for (auto& node : nodes) {
-      node->Stop();
-    }
-    for (auto& t : node_threads) {
-      t.join();
-    }
-    ASSERT_EQ(failures.load(), 0) << "client calls failed";
-    for (auto& node : nodes) {
-      EXPECT_EQ(node->applied_ops(), expected) << "node failed to drain";
-    }
-    // Workers are joined (Run returned), so per-shard state is safe to read.
-    for (uint32_t p = 0; p < kNodes; p++) {
-      for (uint32_t s = 0; s < kPartitions; s++) {
-        out->digests.push_back(replicas[p]->store(s).StateDigest());
-        out->counts.push_back(replicas[p]->applied_count(s));
-      }
-    }
-    return;
+    });
   }
-  FAIL() << "could not bind a port block after 5 attempts";
+  for (auto& t : client_threads) {
+    t.join();
+  }
+  return failures.load() == 0;
+}
+
+ShardState Collect(const std::vector<std::unique_ptr<smr::Deployment>>& replicas) {
+  ShardState st;
+  for (uint32_t p = 0; p < kNodes; p++) {
+    for (uint32_t s = 0; s < kPartitions; s++) {
+      st.digests.push_back(replicas[p]->store(s).StateDigest());
+      st.counts.push_back(replicas[p]->applied_count(s));
+    }
+  }
+  return st;
+}
+
+std::vector<std::unique_ptr<smr::Deployment>> MakeReplicas(
+    const smr::DeploymentOptions& opts) {
+  std::vector<std::unique_ptr<smr::Deployment>> replicas;
+  for (uint32_t i = 0; i < kNodes; i++) {
+    replicas.push_back(std::make_unique<smr::Deployment>(opts));
+  }
+  return replicas;
+}
+
+// Brings up a 3-node loopback cluster (threaded or single-driver), drives the
+// script through blocking clients, drains, and returns per-(node, shard) state.
+void RunTcpCluster(common::Duration batch_window, bool threaded, ShardState* out) {
+  auto replicas = MakeReplicas(MakeOptions(batch_window, threaded));
+  LoopbackCluster cluster(replicas);
+  ASSERT_TRUE(cluster.ok());
+  const uint64_t expected = kClients * kOpsPerClient;
+  bool ok = RunScript(cluster) && cluster.WaitApplied(expected);
+  cluster.Stop();
+  ASSERT_TRUE(ok) << "client calls failed or a node failed to drain";
+  for (const auto& node : cluster.nodes()) {
+    EXPECT_EQ(node->applied_ops(), expected) << "node failed to drain";
+  }
+  // Workers are joined (Run returned), so per-shard state is safe to read.
+  *out = Collect(replicas);
 }
 
 void ExpectConvergedAndMatching(const ShardState& got, const ShardState& ref) {
@@ -218,12 +189,12 @@ void ExpectConvergedAndMatching(const ShardState& got, const ShardState& ref) {
 TEST(RtThreadedTest, ThreadedMatchesSingleDriverAndSimulator) {
   ShardState ref = SimulatorReference();
   ShardState single;
-  RunTcpCluster(/*batch_window=*/0, /*threaded=*/false, 45000, &single);
+  RunTcpCluster(/*batch_window=*/0, /*threaded=*/false, &single);
   if (HasFatalFailure()) {
     return;
   }
   ShardState threaded;
-  RunTcpCluster(/*batch_window=*/0, /*threaded=*/true, 45200, &threaded);
+  RunTcpCluster(/*batch_window=*/0, /*threaded=*/true, &threaded);
   if (HasFatalFailure()) {
     return;
   }
@@ -233,138 +204,187 @@ TEST(RtThreadedTest, ThreadedMatchesSingleDriverAndSimulator) {
   EXPECT_EQ(threaded.counts, single.counts);
 }
 
-// Worker-local submission batching (the flush timer lives in the worker's own
-// timer wheel, not the I/O loop) must not change the final replicated state.
+// Ingress batching (the I/O thread collects each shard's commands for the
+// batch window and hands its worker one kBatch composite) must not change the
+// final replicated state.
 TEST(RtThreadedTest, ThreadedBatchedSubmissionConvergesToSameState) {
   ShardState ref = SimulatorReference();
   ShardState threaded;
   RunTcpCluster(/*batch_window=*/2 * common::kMillisecond, /*threaded=*/true,
-                45400, &threaded);
+                &threaded);
   if (HasFatalFailure()) {
     return;
   }
   ExpectConvergedAndMatching(threaded, ref);
 }
 
-// Crash drill: stop one shard's worker thread on node 0 mid-run. The other
-// shards keep committing on ALL nodes (including node 0 — a dead shard must
-// not wedge its node's I/O thread), and full shutdown joins cleanly.
-TEST(RtThreadedTest, CrashedShardThreadDoesNotWedgeNodeAndJoinsCleanly) {
-  for (int attempt = 0; attempt < 5; attempt++) {
-    uint16_t base =
-        static_cast<uint16_t>(46000 + attempt * 16 + (getpid() % 512));
-    std::vector<PeerAddress> addrs;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      addrs.push_back(PeerAddress{"127.0.0.1", static_cast<uint16_t>(base + i)});
+// Polls `pred` for up to 10 s.
+template <class Pred>
+bool Eventually(Pred pred) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (pred()) {
+      return true;
     }
-    std::vector<std::unique_ptr<smr::Deployment>> replicas;
-    std::vector<std::unique_ptr<Node>> nodes;
-    bool bind_ok = true;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      replicas.push_back(
-          std::make_unique<smr::Deployment>(MakeOptions(0, /*threaded=*/true)));
-      nodes.push_back(std::make_unique<Node>(i, addrs, replicas[i].get()));
-      if (!nodes.back()->Listen()) {
-        bind_ok = false;
-        break;
-      }
-    }
-    if (!bind_ok) {
-      continue;
-    }
-    std::vector<std::thread> node_threads;
-    for (uint32_t i = 0; i < kNodes; i++) {
-      node_threads.emplace_back([&, i]() { nodes[i]->Run(); });
-    }
-
-    const uint32_t dead = 2;
-    smr::Partitioner part(kPartitions);
-    // Keys that avoid the to-be-killed shard, for the post-crash phase.
-    std::vector<std::string> live_keys;
-    for (int i = 0; live_keys.size() < 8 && i < 10000; i++) {
-      std::string k = "live" + std::to_string(i);
-      if (part.ShardOf(k) != dead) {
-        live_keys.push_back(k);
-      }
-    }
-
-    bool connected = false;
-    uint64_t phase1_ok = 0;
-    uint64_t phase2_ok = 0;
-    bool stop_one = false;
-    bool stop_again = true;
-    const uint64_t kPhaseOps = 8;
-    auto drained_to = [&nodes](uint64_t target) {
-      auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while (std::chrono::steady_clock::now() < deadline) {
-        bool ok = true;
-        for (auto& node : nodes) {
-          if (node->applied_ops() < target) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) {
-          return true;
-        }
-        usleep(10 * 1000);
-      }
-      return false;
-    };
-    bool drain1 = false;
-    bool drain2 = false;
-    {
-      Client client("127.0.0.1", addrs[1].port);
-      for (int i = 0; i < 200 && !connected; i++) {
-        connected = client.Connect();
-        if (!connected) {
-          usleep(20 * 1000);
-        }
-      }
-      if (connected) {
-        std::string result;
-        // Phase 1: ops across every shard, all healthy.
-        for (uint64_t i = 1; i <= kPhaseOps; i++) {
-          if (client.Call(ScriptedOp(1, i), &result)) {
-            phase1_ok++;
-          }
-        }
-        drain1 = drained_to(kPhaseOps);
-
-        // Kill shard `dead`'s worker on node 0 (a thread-level fault, not a
-        // process crash: the node's I/O loop and other workers keep running).
-        stop_one = nodes[0]->shard_runtime()->StopOne(dead);
-        stop_again = nodes[0]->shard_runtime()->StopOne(dead);
-
-        // Phase 2: ops confined to surviving shards complete on all nodes —
-        // node 0 included, via commit messages its live workers still process.
-        for (uint64_t i = 0; i < kPhaseOps; i++) {
-          smr::Command cmd = smr::MakePut(
-              2, i + 1, live_keys[i % live_keys.size()], "after-crash");
-          if (client.Call(cmd, &result)) {
-            phase2_ok++;
-          }
-        }
-        drain2 = drained_to(kPhaseOps * 2);
-      }
-    }
-    for (auto& node : nodes) {
-      node->Stop();
-    }
-    for (auto& t : node_threads) {
-      t.join();  // the clean-shutdown assertion: a wedged node hangs here
-    }
-    ASSERT_TRUE(connected);
-    ASSERT_GE(live_keys.size(), 8u);
-    EXPECT_TRUE(stop_one) << "StopOne should stop a running worker";
-    EXPECT_FALSE(stop_again) << "second StopOne must report already-stopped";
-    EXPECT_EQ(phase1_ok, kPhaseOps);
-    EXPECT_TRUE(drain1) << "healthy phase failed to drain";
-    EXPECT_EQ(phase2_ok, kPhaseOps);
-    EXPECT_TRUE(drain2) << "post-crash phase failed to drain on all nodes";
-    return;
+    usleep(10 * 1000);
   }
-  FAIL() << "could not bind a port block after 5 attempts";
+  return pred();
+}
+
+// Crash drill: stop one shard's worker thread on node 0 mid-run. The dead
+// worker's sockets close (node 0 holds none for that shard, and its peers see
+// the loss), no live worker anywhere queues a growing backlog for it, the
+// other shards keep committing on ALL nodes (including node 0 — a dead shard
+// must not wedge its node's I/O thread), and full shutdown joins cleanly.
+TEST(RtThreadedTest, CrashedShardThreadDoesNotWedgeNodeAndJoinsCleanly) {
+  auto replicas = MakeReplicas(MakeOptions(0, /*threaded=*/true));
+  LoopbackCluster cluster(replicas);
+  ASSERT_TRUE(cluster.ok());
+
+  const uint32_t dead = 2;
+  smr::Partitioner part(kPartitions);
+  // Keys that avoid the to-be-killed shard, for the post-crash phase, and
+  // keys on it, for traffic the dead shard never answers.
+  std::vector<std::string> live_keys;
+  std::vector<std::string> dead_keys;
+  for (int i = 0; (live_keys.size() < 8 || dead_keys.size() < 8) && i < 10000; i++) {
+    std::string k = "key" + std::to_string(i);
+    (part.ShardOf(k) != dead ? live_keys : dead_keys).push_back(k);
+  }
+  ASSERT_GE(live_keys.size(), 8u);
+  ASSERT_GE(dead_keys.size(), 8u);
+  auto conns = [&cluster](uint32_t node, uint32_t shard) {
+    return cluster.node(node).shard_runtime()->peer_connections(shard);
+  };
+
+  const uint64_t kPhaseOps = 8;
+  Client client("127.0.0.1", cluster.port(1));
+  ASSERT_TRUE(ConnectWithRetry(client));
+  std::string result;
+  // Phase 1: ops across every shard, all healthy.
+  uint64_t phase1_ok = 0;
+  for (uint64_t i = 1; i <= kPhaseOps; i++) {
+    phase1_ok += client.Call(ScriptedOp(1, i), &result) ? 1 : 0;
+  }
+  EXPECT_EQ(phase1_ok, kPhaseOps);
+  EXPECT_TRUE(cluster.WaitApplied(kPhaseOps)) << "healthy phase failed to drain";
+  EXPECT_EQ(conns(0, dead), kNodes - 1);
+
+  // Kill shard `dead`'s worker on node 0 (a thread-level fault, not a
+  // process crash: the node's I/O loop and other workers keep running).
+  ShardRuntime* runtime = cluster.node(0).shard_runtime();
+  EXPECT_TRUE(runtime->StopOne(dead)) << "StopOne should stop a running worker";
+  EXPECT_FALSE(runtime->StopOne(dead)) << "second StopOne must report already-stopped";
+  EXPECT_EQ(conns(0, dead), 0u) << "the dead worker kept sockets open";
+  EXPECT_TRUE(Eventually([&]() { return conns(1, dead) == 1 && conns(2, dead) == 1; }))
+      << "peers never saw the dead worker's sockets close";
+
+  // Traffic the dead shard would have to absorb: 12 MiB of proposals from
+  // the other nodes' coordinators (never answered, so never awaited).
+  const std::string big(32 * 1024, 'b');
+  for (uint32_t node : {1u, 2u}) {
+    Client flood("127.0.0.1", cluster.port(node));
+    ASSERT_TRUE(flood.Connect());
+    for (uint64_t i = 1; i <= 200; i++) {
+      ASSERT_TRUE(
+          flood.Send(smr::MakePut(10 + node, i, dead_keys[i % dead_keys.size()], big)));
+    }
+  }
+
+  // Phase 2: ops confined to surviving shards complete on all nodes — node 0
+  // included, via commit messages its live workers still process.
+  uint64_t phase2_ok = 0;
+  for (uint64_t i = 0; i < kPhaseOps; i++) {
+    smr::Command cmd =
+        smr::MakePut(2, i + 1, live_keys[i % live_keys.size()], "after-crash");
+    phase2_ok += client.Call(cmd, &result) ? 1 : 0;
+  }
+  EXPECT_EQ(phase2_ok, kPhaseOps);
+  EXPECT_TRUE(cluster.WaitApplied(kPhaseOps * 2))
+      << "post-crash phase failed to drain on all nodes";
+
+  // No live worker holds a backlog for a reader that is gone.
+  for (uint32_t node = 0; node < kNodes; node++) {
+    for (uint32_t s = 0; s < kPartitions; s++) {
+      EXPECT_LT(cluster.node(node).shard_runtime()->max_queued_bytes(s), 1u << 20)
+          << "node " << node << " shard " << s << " queued a growing backlog";
+    }
+  }
+  cluster.Stop();  // the clean-shutdown assertion: a wedged node hangs here
+}
+
+// Reset drill: drop single (peer, shard) connections mid-traffic, on the
+// dialing side (node 0's link to node 1, shard 3) and on the accepting side
+// (node 2's link to node 0, shard 1). The mesh re-dials both, every worker
+// ends with its full set of peer connections, and the cluster converges to
+// the simulator's digests.
+//
+// Frames in flight on a dropped link are lost (the TCP tier has no
+// retransmission), so the engines' commit-timeout recovery is on. A lost
+// commit reaches a replica outside the fast quorum only once a later commit
+// from the same coordinator reveals the gap (Atlas's identifier-gap watch), so
+// the script runs in two halves: the resets land in the first, and the second,
+// on the re-formed mesh, sends later commits from every coordinator and shard
+// the first used (each half cycles through every key of every client).
+TEST(RtThreadedTest, DroppedShardConnectionIsRedialedAndClusterConverges) {
+  ShardState ref = SimulatorReference();
+  smr::DeploymentOptions opts = MakeOptions(0, /*threaded=*/true);
+  opts.commit_timeout = 300 * common::kMillisecond;
+  opts.recovery_scan_interval = 100 * common::kMillisecond;
+  opts.recovery_retry_interval = 200 * common::kMillisecond;
+  auto replicas = MakeReplicas(opts);
+  LoopbackCluster cluster(replicas);
+  ASSERT_TRUE(cluster.ok());
+
+  auto conns = [&cluster](uint32_t node, uint32_t shard) {
+    return cluster.node(node).shard_runtime()->peer_connections(shard);
+  };
+  const uint64_t half = kOpsPerClient / 2;
+  // The re-dial backoff (50 ms first) leaves each dropped link down long
+  // enough for a 1 ms poll to see it go.
+  bool saw_drops = false;
+  std::thread chaos([&]() {
+    cluster.WaitApplied(kClients * half / 2);
+    cluster.node(0).ResetPeerConnection(1, 3);
+    cluster.node(2).ResetPeerConnection(0, 1);
+    bool drop_a = false;
+    bool drop_b = false;
+    for (int i = 0; i < 5000 && !(drop_a && drop_b); i++) {
+      drop_a = drop_a || conns(0, 3) < kNodes - 1;
+      drop_b = drop_b || conns(2, 1) < kNodes - 1;
+      usleep(1000);
+    }
+    saw_drops = drop_a && drop_b;
+  });
+  bool ok = RunScript(cluster, 1, half);
+  chaos.join();
+  bool remeshed = Eventually([&]() {
+    for (uint32_t node = 0; node < kNodes; node++) {
+      for (uint32_t s = 0; s < kPartitions; s++) {
+        if (conns(node, s) != kNodes - 1) {
+          return false;
+        }
+      }
+    }
+    return true;
+  });
+  const uint64_t expected = kClients * kOpsPerClient;
+  ok = ok && RunScript(cluster, half + 1, kOpsPerClient) && cluster.WaitApplied(expected);
+  // Evidence for a failed drill: where each node stopped, and its mesh.
+  std::string state;
+  for (uint32_t node = 0; node < kNodes; node++) {
+    state += " node " + std::to_string(node) + ": applied " +
+             std::to_string(cluster.node(node).applied_ops()) + ", conns";
+    for (uint32_t s = 0; s < kPartitions; s++) {
+      state += " " + std::to_string(conns(node, s));
+    }
+    state += ";";
+  }
+  cluster.Stop();
+  EXPECT_TRUE(saw_drops) << "the reset connections never went down";
+  EXPECT_TRUE(remeshed) << "a dropped shard connection was never re-dialed";
+  ASSERT_TRUE(ok) << "client calls failed or a node failed to drain:" << state;
+  ExpectConvergedAndMatching(Collect(replicas), ref);
 }
 
 }  // namespace
