@@ -15,10 +15,14 @@
 //                                               # snapshots under <dir>/site-N/;
 //                                               # rerun with the same dir to
 //                                               # recover the store from disk
+//
+// Every replica binds an ephemeral port. The scripted reads check what the
+// script wrote before them; the example exits 1 if one does not.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -75,11 +79,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const uint16_t base_port = static_cast<uint16_t>(39000 + (getpid() % 1000));
-  std::vector<rt::PeerAddress> addrs;
-  for (uint32_t i = 0; i < kReplicas; i++) {
-    addrs.push_back(rt::PeerAddress{"127.0.0.1", static_cast<uint16_t>(base_port + i)});
-  }
+  // Port 0 until Listen() binds an ephemeral port; every node then gets the
+  // resolved table before Run().
+  std::vector<rt::PeerAddress> addrs(kReplicas, rt::PeerAddress{"127.0.0.1", 0});
 
   // One Deployment per node: the same assembly layer the simulator harness uses,
   // so P>1 gives each node `partitions` independent Atlas engines with per-shard
@@ -113,9 +115,13 @@ int main(int argc, char** argv) {
     replicas.push_back(std::make_unique<smr::Deployment>(std::move(d)));
     nodes.push_back(std::make_unique<rt::Node>(i, addrs, replicas[i].get()));
     if (!nodes.back()->Listen()) {
-      std::fprintf(stderr, "failed to bind port %u\n", addrs[i].port);
+      std::fprintf(stderr, "replica %u failed to listen\n", i);
       return 1;
     }
+    addrs[i].port = nodes.back()->port();
+  }
+  for (auto& node : nodes) {
+    node->set_peers(addrs);
   }
   std::printf("3 ATLAS replicas (P=%u%s", partitions,
               threaded ? (pin_cores ? ", thread-per-shard, pinned"
@@ -127,8 +133,8 @@ int main(int argc, char** argv) {
   if (!data_dir.empty()) {
     std::printf(", durable in %s", data_dir.c_str());
   }
-  std::printf(") listening on 127.0.0.1:%u..%u\n", base_port,
-              base_port + kReplicas - 1);
+  std::printf(") listening on 127.0.0.1 ports %u, %u, %u\n", addrs[0].port,
+              addrs[1].port, addrs[2].port);
 
   std::vector<std::thread> threads;
   for (uint32_t i = 0; i < kReplicas; i++) {
@@ -138,38 +144,57 @@ int main(int argc, char** argv) {
   // Clients talk to different replicas; SMR keeps them linearizable.
   rt::Client alice("127.0.0.1", addrs[0].port);
   rt::Client bob("127.0.0.1", addrs[2].port);
-  for (int attempt = 0; attempt < 100 && !alice.Connect(); attempt++) {
-    usleep(20 * 1000);
+  bool ok = false;
+  for (int attempt = 0; attempt < 100 && !ok; attempt++) {
+    ok = alice.Connect();
+    if (!ok) {
+      usleep(20 * 1000);
+    }
   }
-  if (!bob.Connect()) {
+  ok = ok && bob.Connect();
+  if (!ok) {
     std::fprintf(stderr, "client connect failed\n");
-    return 1;
   }
 
+  // Each call names the result the script implies: a get or rmw returns the
+  // value written before it, a put returns "". The first failure ends the
+  // script.
   std::string result;
-  auto call = [&](rt::Client& c, const char* who, const smr::Command& cmd) {
+  auto call = [&](rt::Client& c, const char* who, const smr::Command& cmd,
+                  const char* expected) {
+    if (!ok) {
+      return;
+    }
     if (!c.Call(cmd, &result)) {
       std::fprintf(stderr, "%s: call failed\n", who);
-      exit(1);
+      ok = false;
+      return;
     }
     std::printf("  %s: %-22s -> \"%s\"\n", who, cmd.ToString().c_str(), result.c_str());
+    if (result != expected) {
+      std::fprintf(stderr, "%s: expected \"%s\"\n", who, expected);
+      ok = false;
+    }
   };
 
   std::printf("\nalice (replica 0) and bob (replica 2):\n");
-  call(alice, "alice", smr::MakePut(1, 1, "tea", "green"));
-  call(bob, "bob  ", smr::MakeGet(2, 1, "tea"));       // sees alice's write
-  call(bob, "bob  ", smr::MakeRmw(2, 2, "tea", "+milk"));
-  call(alice, "alice", smr::MakeGet(1, 2, "tea"));     // sees bob's update
+  call(alice, "alice", smr::MakePut(1, 1, "tea", "green"), "");
+  call(bob, "bob  ", smr::MakeGet(2, 1, "tea"), "green");  // sees alice's write
+  call(bob, "bob  ", smr::MakeRmw(2, 2, "tea", "+milk"), "green");
+  call(alice, "alice", smr::MakeGet(1, 2, "tea"), "green+milk");  // sees bob's update
   // Hit a few more keys so sharded runs touch several partitions.
-  call(alice, "alice", smr::MakePut(1, 3, "coffee", "black"));
-  call(bob, "bob  ", smr::MakePut(2, 3, "juice", "orange"));
-  call(alice, "alice", smr::MakeGet(1, 4, "juice"));
+  call(alice, "alice", smr::MakePut(1, 3, "coffee", "black"), "");
+  call(bob, "bob  ", smr::MakePut(2, 3, "juice", "orange"), "");
+  call(alice, "alice", smr::MakeGet(1, 4, "juice"), "orange");
 
   for (auto& node : nodes) {
     node->Stop();
   }
   for (auto& t : threads) {
     t.join();
+  }
+  if (!ok) {
+    return 1;
   }
   std::printf("\nper-(replica, shard) digests:\n");
   for (uint32_t i = 0; i < kReplicas; i++) {

@@ -63,7 +63,36 @@ void Connection::Flush() {
     }
   }
   out_.erase(out_.begin(), out_.begin() + static_cast<ptrdiff_t>(sent));
-  loop_->ModifyFd(fd_, out_.empty() ? EPOLLIN : (EPOLLIN | EPOLLOUT));
+  UpdateInterest();
+}
+
+void Connection::UpdateInterest() {
+  uint32_t events = 0;
+  if (!input_paused_) {
+    events |= EPOLLIN;
+  }
+  if (!out_.empty()) {
+    events |= EPOLLOUT;
+  }
+  loop_->ModifyFd(fd_, events);
+}
+
+bool Connection::PauseInput() {
+  if (closed_ || input_paused_) {
+    return false;
+  }
+  input_paused_ = true;
+  UpdateInterest();
+  return true;
+}
+
+void Connection::ResumeInput() {
+  if (closed_ || !input_paused_) {
+    return;
+  }
+  input_paused_ = false;
+  UpdateInterest();
+  ReadAll();
 }
 
 void Connection::OnReady(uint32_t events) {

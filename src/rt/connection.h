@@ -54,6 +54,15 @@ class Connection {
   // Parses every whole frame already buffered.
   void ConsumeInput();
 
+  // Input pacing: PauseInput stops watching the socket for input (output
+  // still flushes on EPOLLOUT), so newer bytes wait in the kernel socket
+  // buffer instead of waking the loop; it returns false if the connection was
+  // already paused or closed. ResumeInput watches it again and reads whatever
+  // arrived meanwhile, noticing a close that happened while paused. A hang-up
+  // or error reported while paused is still read at once.
+  bool PauseInput();
+  void ResumeInput();
+
   // Stops watching the socket and hands it over: returns the fd and moves the
   // bytes read but not yet parsed into `unread`. Safe from inside OnFrame
   // (parsing stops after the current frame). The husk reports closed() and
@@ -75,6 +84,8 @@ class Connection {
   void OnReady(uint32_t events);
   void ReadAll();
   void MarkClosed();
+  // Re-registers the epoll interest: input unless paused, output while queued.
+  void UpdateInterest();
 
   EventLoop* loop_;
   int fd_;
@@ -84,6 +95,7 @@ class Connection {
   // End of the frame being delivered, while ConsumeInput is inside OnFrame.
   size_t parsed_ = 0;
   bool closed_ = false;
+  bool input_paused_ = false;
 };
 
 }  // namespace rt

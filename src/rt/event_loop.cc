@@ -17,9 +17,10 @@ EventLoop::EventLoop() : events_(64) {
   wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   CHECK_GE(wake_fd_, 0);
   WatchFd(wake_fd_, EPOLLIN, [this](uint32_t) {
+    // One read resets the (non-semaphore) eventfd counter.
     uint64_t junk;
-    while (read(wake_fd_, &junk, sizeof(junk)) > 0) {
-    }
+    ssize_t rc = read(wake_fd_, &junk, sizeof(junk));
+    (void)rc;
     DrainPosted();
   });
 }

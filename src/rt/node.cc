@@ -24,10 +24,6 @@ namespace {
 constexpr common::Duration kRedialFloor = 50 * common::kMillisecond;
 constexpr common::Duration kRedialCap = common::kSecond;
 
-// Batch-window timers carry (generation, shard) in one word, so the callback
-// fits std::function's inline storage.
-constexpr uint32_t kShardBits = smr::ShardedEngine::kShardBits;
-
 sockaddr_in LoopbackAddr(const PeerAddress& a) {
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
@@ -397,6 +393,11 @@ void Node::OnFrame(Connection* conn, const uint8_t* data, size_t size) {
     pending_submits_.push_back(std::move(req->cmd));
   } else if (shards_ != nullptr) {
     SubmitToShard(shard, req->cmd);
+    // Read again when the window closes: arrivals until then wait in the
+    // kernel socket buffer instead of waking this thread.
+    if (window_ == Window::kOpen && conn->PauseInput()) {
+      paused_conns_.push_back(conn);
+    }
   } else {
     deployment_->engine().Submit(std::move(req->cmd));
   }
@@ -554,9 +555,11 @@ void Node::CompleteClient(uint64_t client, uint64_t seq,
 
 void Node::ReplyToClient(uint64_t client, uint64_t seq, std::string&& value,
                          bool dropped, bool flush) {
-  // Completion bookkeeping runs whether or not a client is waiting here:
-  // catch-up entries and commands submitted via a since-dead connection still
-  // complete, and a reconnecting client must find their cached results.
+  // Completion bookkeeping runs for every completion that reaches this node,
+  // whether or not a client is waiting: catch-up entries and commands
+  // submitted via a since-dead connection still complete, and a reconnecting
+  // client must find their cached results. Threaded workers send only the
+  // completions of clients that submitted here, plus catch-up entries.
   CompleteClient(client, seq, value, dropped);
   auto it = waiting_clients_.find(chk::CmdKey{client, seq});
   if (it == waiting_clients_.end()) {
@@ -596,44 +599,67 @@ void Node::SendReply(Connection* conn, uint64_t client, uint64_t seq,
 // --- Threaded-mode I/O tier ------------------------------------------------
 
 void Node::SubmitToShard(uint32_t shard, smr::Command& cmd) {
+  AnnounceClient(cmd.client);
   if (batch_window_ == 0) {
     route_.kind = ShardInput::Kind::kSubmit;
     route_.cmd = std::move(cmd);
     RouteInput(shard, route_);
     return;
   }
-  ShardBatch& b = batches_[shard];
-  b.cmds.push_back(std::move(cmd));
-  if (b.cmds.size() >= batch_max_) {
+  std::vector<smr::Command>& batch = batches_[shard];
+  batch.push_back(std::move(cmd));
+  if (batch.size() >= batch_max_) {
     FlushBatch(shard);
-  } else if (b.cmds.size() == 1) {
-    uint64_t token = (b.generation << kShardBits) | shard;
-    loop_.AddTimer(batch_window_, [this, token]() {
-      uint32_t s = static_cast<uint32_t>(token & ((1u << kShardBits) - 1));
-      if (batches_[s].generation == token >> kShardBits) {
-        FlushBatch(s);
-      }
-    });
+  } else if (window_ == Window::kClosed) {
+    window_ = Window::kOpen;
+    loop_.AddTimer(batch_window_, [this]() { CloseWindow(); });
+  }
+}
+
+void Node::AnnounceClient(uint64_t client) {
+  // Inboxes are FIFO: every worker learns the client before any of its
+  // commands, so none of its completions is filtered out.
+  if (!announced_clients_.insert(client).second) {
+    return;
+  }
+  for (uint32_t s = 0; s < lanes_; s++) {
+    route_.kind = ShardInput::Kind::kClient;
+    route_.client = client;
+    if (!RouteInput(s, route_)) {
+      announced_clients_.erase(client);  // retried with its next command
+    }
+  }
+}
+
+void Node::CloseWindow() {
+  // Commands held back in paused sockets join this window's batches.
+  window_ = Window::kClosing;
+  for (Connection* conn : paused_conns_) {
+    conn->ResumeInput();
+  }
+  paused_conns_.clear();
+  window_ = Window::kClosed;
+  for (uint32_t s = 0; s < lanes_; s++) {
+    FlushBatch(s);
   }
 }
 
 void Node::FlushBatch(uint32_t shard) {
-  ShardBatch& b = batches_[shard];
-  b.generation++;
-  if (b.cmds.empty()) {
+  std::vector<smr::Command>& batch = batches_[shard];
+  if (batch.empty()) {
     return;
   }
-  if (b.cmds.size() == 1) {
-    route_.cmd = std::move(b.cmds[0]);
+  if (batch.size() == 1) {
+    route_.cmd = std::move(batch[0]);
   } else {
-    smr::MakeBatchInto(b.cmds, batch_writer_, route_.cmd, &batch_pool_);
+    smr::MakeBatchInto(batch, batch_writer_, route_.cmd, &batch_pool_);
   }
-  b.cmds.clear();
+  batch.clear();
   route_.kind = ShardInput::Kind::kSubmit;
   RouteInput(shard, route_);
 }
 
-void Node::RouteInput(uint32_t shard, ShardInput& in) {
+bool Node::RouteInput(uint32_t shard, ShardInput& in) {
   // Bounded retry, never a blocking wait: a full inbox with a live worker
   // drains in microseconds once we stop hogging the core. Draining outboxes
   // between attempts keeps the worker from stalling on a full *outbox* while
@@ -641,14 +667,14 @@ void Node::RouteInput(uint32_t shard, ShardInput& in) {
   constexpr int kMaxSpins = 200000;
   for (int spin = 0;; spin++) {
     if (shards_->Push(shard, in)) {
-      return;
+      return true;
     }
     if (DrainShardOutputs() > 0) {
       FlushDirty();
     }
     if (spin >= kMaxSpins) {
       shards_->DropInput(in);
-      return;
+      return false;
     }
     std::this_thread::yield();
   }
@@ -713,6 +739,8 @@ void Node::ForgetConn(Connection* conn) {
   }
   dirty_conns_.erase(std::remove(dirty_conns_.begin(), dirty_conns_.end(), conn),
                      dirty_conns_.end());
+  paused_conns_.erase(std::remove(paused_conns_.begin(), paused_conns_.end(), conn),
+                      paused_conns_.end());
 }
 
 void Node::ReapConnections() {
@@ -779,6 +807,7 @@ void Client::Disconnect() {
     fd_ = -1;
   }
   in_.clear();
+  in_off_ = 0;
 }
 
 bool Client::Connect() {
@@ -818,11 +847,12 @@ bool Client::RecvReply(uint64_t* seq_out, std::string* result_out) {
     return false;
   }
   while (true) {
-    if (in_.size() >= 4) {
+    size_t avail = in_.size() - in_off_;
+    if (avail >= 4) {
       uint32_t frame_len;
-      std::memcpy(&frame_len, in_.data(), 4);
-      if (in_.size() - 4 >= frame_len) {
-        codec::Reader r(in_.data() + 4, frame_len);
+      std::memcpy(&frame_len, in_.data() + in_off_, 4);
+      if (avail - 4 >= frame_len) {
+        codec::Reader r(in_.data() + in_off_ + 4, frame_len);
         if (r.U8() != wire::kFrameMessage) {
           return false;
         }
@@ -830,7 +860,7 @@ bool Client::RecvReply(uint64_t* seq_out, std::string* result_out) {
         if (!msg::Decode(r, m)) {
           return false;
         }
-        in_.erase(in_.begin(), in_.begin() + 4 + frame_len);
+        in_off_ += 4 + frame_len;
         auto* reply = msg::get_if<msg::ClientReply>(&m);
         if (reply == nullptr) {
           return false;
@@ -844,6 +874,9 @@ bool Client::RecvReply(uint64_t* seq_out, std::string* result_out) {
         return true;
       }
     }
+    // Out of whole frames: drop the parsed prefix once, then read more.
+    in_.erase(in_.begin(), in_.begin() + static_cast<ptrdiff_t>(in_off_));
+    in_off_ = 0;
     uint8_t buf[4096];
     ssize_t n = read(fd_, buf, sizeof(buf));
     if (n <= 0) {

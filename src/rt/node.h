@@ -14,8 +14,12 @@
 //     every peer, so protocol traffic never crosses the epoll thread. The
 //     epoll thread keeps the listen socket and the client connections, dials
 //     and re-dials every (peer, shard) connection and hands each one to its
-//     shard's worker, and batches each shard's client commands for the batch
-//     window before handing the worker one kBatch composite.
+//     shard's worker, and batches client commands per shard for one
+//     node-wide batch window before handing each worker one kBatch composite.
+//     While the window is open, a client connection that delivered input is
+//     not read again until the window closes, so later arrivals wait in the
+//     kernel instead of waking the epoll thread. Workers reply only to the
+//     clients this node announced to them (those that submit here).
 //
 // Fault tolerance: a lost peer connection is re-dialed with backoff by the
 // dialing side per the mesh rule above; the accepting side waits for the fresh
@@ -132,8 +136,9 @@ class Node final : public smr::Context,
   void MaybeStartEngine();
   // Connection teardown: a closed socket schedules a reap on the loop (never
   // destroyed mid-callback); the reap scrubs every raw pointer to the
-  // connection (waiting_clients_, dirty_conns_) before freeing it, and
-  // schedules a backoff re-dial when the lost peer is one this node dials.
+  // connection (waiting_clients_, dirty_conns_, paused_conns_) before freeing
+  // it, and schedules a backoff re-dial when the lost peer is one this node
+  // dials.
   void ReapConnections();
   void ForgetConn(Connection* conn);
   void OnShardPeerLost(uint32_t shard, common::ProcessId peer);
@@ -154,22 +159,27 @@ class Node final : public smr::Context,
   // Completion bookkeeping for durable client idempotency (no-op otherwise).
   void CompleteClient(uint64_t client, uint64_t seq, const std::string& value,
                       bool dropped);
-  // Threaded mode: a client command for `shard`, batched per shard for the
-  // batch window (P > 1) before it reaches the worker.
+  // Threaded mode: a client command for `shard`, batched for the node's
+  // batch window (P > 1) before it reaches the worker. A client's first
+  // command is preceded by its announcement to every worker.
   void SubmitToShard(uint32_t shard, smr::Command& cmd);
+  void AnnounceClient(uint64_t client);
   void FlushBatch(uint32_t shard);
+  // Closes the batch window: reads every paused client connection (their
+  // commands join this window), then flushes every shard's batch.
+  void CloseWindow();
   // Threaded mode: moves `in` into its shard's inbox, draining worker outboxes
   // while the inbox is full (never a blocking wait; bounded retries, then the
-  // input is dropped and counted).
-  void RouteInput(uint32_t shard, ShardInput& in);
+  // input is dropped, counted, and false returned).
+  bool RouteInput(uint32_t shard, ShardInput& in);
   // Threaded mode: doorbell callback — drain outboxes, flush dirty sockets.
   void OnWorkerOutput();
   size_t DrainShardOutputs();
   void MarkDirty(Connection* conn);
   void FlushDirty();
-  // Sends a ClientReply frame to the client waiting on (client, seq), if any.
-  // With `flush` false the frame is queued and the connection marked dirty
-  // instead (threaded drain path).
+  // Records the completion (durable nodes) and sends a ClientReply frame to
+  // the client waiting on (client, seq), if any. With `flush` false the frame
+  // is queued and the connection marked dirty instead (threaded drain path).
   void ReplyToClient(uint64_t client, uint64_t seq, std::string&& value, bool dropped,
                      bool flush = true);
   // Sends a ClientReply frame on a specific connection (rejection path).
@@ -197,6 +207,9 @@ class Node final : public smr::Context,
   bool catchup_requested_ = false;
   // Durable client idempotency: commands submitted but not yet completed, and
   // each client's last completed (seq, result) for resubmit short-circuiting.
+  // Inline mode sees every completion; threaded mode only those of clients
+  // that submitted through this node, plus catch-up entries — enough, since
+  // a client always reconnects to the node it talks to.
   std::unordered_set<chk::CmdKey, chk::CmdKeyHash> in_flight_;
   std::unordered_map<uint64_t, std::pair<uint64_t, std::string>> client_done_;
   // Client commands that arrived before the peer mesh completed; submitted the
@@ -218,16 +231,19 @@ class Node final : public smr::Context,
   std::atomic<uint64_t> applied_ops_{0};
   bool engine_started_ = false;
 
-  // Threaded mode only. Ingress batching: each shard's client commands
-  // collect for the batch window (or until batch_max), then go to the worker
-  // as one kBatch composite; the generation discards stale window timers.
+  // Threaded mode only. Ingress batching: one window per node opens when a
+  // client command is batched and none is open, and closes batch_window
+  // later; each shard's commands then go to its worker as one kBatch
+  // composite (a shard reaching batch_max flushes at once). While the window
+  // is open, client connections that delivered input are paused.
   common::Duration batch_window_ = 0;
   size_t batch_max_ = 64;
-  struct ShardBatch {
-    std::vector<smr::Command> cmds;
-    uint64_t generation = 0;
-  };
-  std::vector<ShardBatch> batches_;
+  enum class Window : uint8_t { kClosed, kOpen, kClosing };
+  Window window_ = Window::kClosed;
+  std::vector<std::vector<smr::Command>> batches_;  // per shard
+  std::vector<Connection*> paused_conns_;
+  // Clients announced to every worker (their replies come back here).
+  std::unordered_set<uint64_t> announced_clients_;
   codec::Writer batch_writer_;
   smr::PayloadPool batch_pool_;
   ShardInput route_;  // reused inbox envelope
@@ -283,7 +299,10 @@ class Client {
   Options opts_;
   int fd_ = -1;
   uint64_t gave_up_ = 0;
-  std::vector<uint8_t> in_;  // partial-frame carry across RecvReply calls
+  // Bytes read but not yet returned as replies: in_[in_off_, end). Parsing
+  // advances the offset; the buffer is compacted once per read, not per reply.
+  std::vector<uint8_t> in_;
+  size_t in_off_ = 0;
   codec::Writer frame_;      // outbound frame, reused: a warm Send allocates nothing
 };
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "src/codec/codec.h"
@@ -194,13 +195,20 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
       case wire::kFrameCatchupEntries:
         // The normal executed path: the durable admit filter deduplicates
         // (we may have replayed this record from our own log already), and a
-        // duplicate's reply simply finds no waiting client.
+        // duplicate's reply simply finds no waiting client. Every completion
+        // goes out, announced client or not, so the node's completion cache
+        // answers clients that resubmit after a restart.
+        catching_up_ = true;
         wire::ForEachCatchupEntry(
             r, [this](uint64_t shard, const common::Dot& dot, const smr::Command& cmd) {
               if (shard == shard_) {
                 Executed(dot, cmd);
               }
             });
+        if (pool_ != nullptr) {
+          pool_->WaitIdle();  // delivers the entries' completions while flagged
+        }
+        catching_up_ = false;
         break;
       default:
         break;
@@ -210,10 +218,18 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
   void OnClosed(Connection* conn) override { reap_pending_ = true; }
 
  private:
+  // The one place an applied or dropped command becomes a ShardOutput. A
+  // client its node never announced submitted elsewhere: nobody waits here,
+  // so nothing is pushed and the I/O thread is not woken (catch-up entries
+  // excepted, see OnFrame).
+  //
   // Never blocks indefinitely: the I/O thread always drains outboxes before
   // sleeping, so ringing its doorbell and yielding is enough to guarantee the
   // ring frees up. Output is dropped only during shutdown.
   void PushReply(uint64_t client, uint64_t seq, std::string&& value, bool dropped) {
+    if (!catching_up_ && clients_.count(client) == 0) {
+      return;
+    }
     reply_.client = client;
     reply_.seq = seq;
     reply_.value = std::move(value);
@@ -225,6 +241,7 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
       }
       std::this_thread::yield();
     }
+    owner_->outputs_pushed_.fetch_add(1, std::memory_order_relaxed);
     NotifyOutput();
   }
 
@@ -341,6 +358,9 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
         case ShardInput::Kind::kSubmit:
           engine_->Submit(std::move(in_.cmd));
           break;
+        case ShardInput::Kind::kClient:
+          clients_.insert(in_.client);
+          break;
         case ShardInput::Kind::kPeer:
           if (Connection* conn = AttachPeer(in_.from, in_.fd, std::move(in_.unread))) {
             conn->ConsumeInput();
@@ -443,6 +463,10 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
   std::vector<std::unique_ptr<Connection>> peers_;  // by process id
   std::vector<Connection*> dirty_;
   bool reap_pending_ = false;
+  // Clients announced by the I/O tier (they submit through this node), and
+  // whether a catch-up frame is being applied (every completion goes out).
+  std::unordered_set<uint64_t> clients_;
+  bool catching_up_ = false;
   codec::Writer encode_;
   ShardInput in_;
   ShardOutput reply_;

@@ -7,9 +7,9 @@
 // P-SMR, Whittaker et al.'s compartmentalization) arrive at:
 //
 //   * the I/O tier (rt::Node's epoll thread) owns the listen socket and the
-//     client connections, dials and re-dials peers, and batches each shard's
-//     client commands for the batch window before handing the worker one
-//     kBatch composite;
+//     client connections, dials and re-dials peers, and batches client
+//     commands per shard for one node-wide batch window before handing each
+//     worker one kBatch composite;
 //   * one worker thread per shard owns that shard's protocol engine, store
 //     slice, timers and its own TCP connection to the same shard on every
 //     peer. It reads, decodes, encodes and writes that peer traffic itself
@@ -22,11 +22,16 @@
 //     worker; only state application fans out — see src/exec/exec_pool.h).
 //
 // The I/O tier and a worker are joined by two bounded SPSC mailboxes
-// (src/rt/mailbox.h): an inbox carrying submissions and handed-over peer
-// sockets, and an outbox carrying client replies. Shard engines share no keys
-// and never talk to each other. An idle worker blocks in epoll on its sockets
-// plus an eventfd doorbell, with its next timer deadline as the timeout, so an
-// idle replica burns no CPU.
+// (src/rt/mailbox.h): an inbox carrying submissions, client announcements and
+// handed-over peer sockets, and an outbox carrying client replies. A worker
+// replies only to clients its node announced (the clients that submit through
+// this node): every replica executes every command, but only the client's own
+// node has anyone to answer, so the other replicas push nothing and never
+// wake their I/O thread for it. Catch-up entries are the exception — their
+// completions all go out, so a restarted node refills its completion cache.
+// Shard engines share no keys and never talk to each other. An idle worker
+// blocks in epoll on its sockets plus an eventfd doorbell, with its next timer
+// deadline as the timeout, so an idle replica burns no CPU.
 //
 // The simulator path is untouched: threading is a runtime-only property
 // selected by smr::DeploymentOptions::threaded, and the engines driven here
@@ -56,17 +61,20 @@ struct ShardInput {
   enum class Kind : uint8_t {
     kNone,
     kSubmit,  // one client command, or the kBatch composite of a batch window
+    kClient,  // client `client` submits through this node: reply to it
     kPeer,    // a connected socket to shard `from` on a peer, hello exchanged
     kReset,   // fault drill: drop the connection to peer `from`
   };
   Kind kind = Kind::kNone;
   smr::Command cmd;            // kSubmit
+  uint64_t client = 0;         // kClient
   common::ProcessId from = 0;  // kPeer/kReset: the peer
   int fd = -1;                 // kPeer: the socket
   std::string unread;          // kPeer: bytes read past the hello
 };
 
-// One item on a (shard -> I/O) outbox edge: a completed client command.
+// One item on a (shard -> I/O) outbox edge: a completed command of a client
+// announced to the worker, or of a catch-up entry.
 struct ShardOutput {
   uint64_t client = 0;
   uint64_t seq = 0;
@@ -157,6 +165,10 @@ class ShardRuntime {
   uint64_t inputs_dropped() const {
     return inputs_dropped_.load(std::memory_order_relaxed);
   }
+  // Client replies pushed onto outboxes across all shards (monitoring; atomic).
+  uint64_t outputs_pushed() const {
+    return outputs_pushed_.load(std::memory_order_relaxed);
+  }
 
   // Per-worker socket state, readable from any thread: the peer connections
   // shard `shard`'s worker holds open, and the largest write buffer any of
@@ -175,6 +187,7 @@ class ShardRuntime {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<uint64_t> applied_ops_{0};
   std::atomic<uint64_t> inputs_dropped_{0};
+  std::atomic<uint64_t> outputs_pushed_{0};
   bool started_ = false;
 };
 

@@ -16,6 +16,8 @@
 #include <string>
 #include <thread>
 
+#include "src/codec/codec.h"
+#include "src/msg/message.h"
 #include "src/rt/connection.h"
 #include "src/rt/wire.h"
 #include "src/smr/deployment.h"
@@ -185,6 +187,54 @@ TEST(RtTest, ClientSendToVanishedServerFails) {
     usleep(10 * 1000);
   }
   EXPECT_EQ(failures, 2);
+}
+
+// A pipelined client reads its replies in bursts: 1500 replies written in one
+// go come back whole and in order (the client compacts its buffer once per
+// read instead of once per reply, so a burst parses in linear time).
+TEST(RtTest, ClientReadsManyRepliesFromOneWriteInOrder) {
+  int lfd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(listen(lfd, 4), 0);
+  ASSERT_EQ(getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  Client client("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_TRUE(client.Connect());
+  int server_side = accept(lfd, nullptr, nullptr);
+  ASSERT_GE(server_side, 0);
+
+  constexpr uint64_t kReplies = 1500;
+  codec::Writer burst;
+  for (uint64_t seq = 1; seq <= kReplies; seq++) {
+    msg::ClientReply reply;
+    reply.client = 1;
+    reply.seq = seq;
+    reply.value = "v" + std::to_string(seq);
+    size_t at = wire::BeginFrame(burst);
+    burst.U8(wire::kFrameMessage);
+    msg::Encode(burst, msg::Message{reply});
+    wire::EndFrame(burst, at);
+  }
+  EXPECT_EQ(send(server_side, burst.buffer().data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  uint64_t in_order = 0;
+  uint64_t seq = 0;
+  std::string value;
+  for (uint64_t want = 1; want <= kReplies && client.RecvReply(&seq, &value); want++) {
+    if (seq != want || value != "v" + std::to_string(want)) {
+      ADD_FAILURE() << "reply " << want << " came back as seq " << seq << " value "
+                    << value;
+      break;
+    }
+    in_order++;
+  }
+  EXPECT_EQ(in_order, kReplies);
+  close(server_side);
+  close(lfd);
 }
 
 // Node-level drills on the threaded runtime: a peer node dies, and separately

@@ -17,6 +17,11 @@
 // ctest timeout is the deadlock guard). The reset drill drops single
 // (peer, shard) connections mid-traffic: the mesh re-dials them and the
 // cluster still converges to the simulator's digests.
+//
+// The I/O-tier tests pin the two wake-up savings: workers push replies only
+// for clients that submit through their node, and one ingress window per node
+// turns a burst into one command per shard, pausing client sockets until the
+// window closes (also when the client hangs up meanwhile).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -28,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/kvs/kvs.h"
 #include "src/rt/node.h"
 #include "src/sim/simulator.h"
 #include "src/smr/deployment.h"
@@ -385,6 +391,143 @@ TEST(RtThreadedTest, DroppedShardConnectionIsRedialedAndClusterConverges) {
   EXPECT_TRUE(remeshed) << "a dropped shard connection was never re-dialed";
   ASSERT_TRUE(ok) << "client calls failed or a node failed to drain:" << state;
   ExpectConvergedAndMatching(Collect(replicas), ref);
+}
+
+// Reply routing: every replica executes every command, but only the node the
+// client talks to has anyone to answer. With all traffic through one client
+// connection at node 0, node 0's workers push exactly one output per command
+// and nodes 1 and 2 push none, while every replica still applies everything
+// and converges to the simulator's state. A client that then joins at node 2
+// reads what was written through node 0.
+TEST(RtThreadedTest, OnlyTheClientsNodePushesReplies) {
+  ShardState ref = SimulatorReference();
+  auto replicas = MakeReplicas(MakeOptions(0, /*threaded=*/true));
+  LoopbackCluster cluster(replicas);
+  ASSERT_TRUE(cluster.ok());
+  auto pushed = [&cluster](uint32_t node) {
+    return cluster.node(node).shard_runtime()->outputs_pushed();
+  };
+
+  const uint64_t ops = kClients * kOpsPerClient;
+  Client client("127.0.0.1", cluster.port(0));
+  ASSERT_TRUE(ConnectWithRetry(client));
+  std::string result;
+  uint64_t ok = 0;
+  for (uint64_t c = 1; c <= kClients; c++) {
+    for (uint64_t i = 1; i <= kOpsPerClient; i++) {
+      ok += client.Call(ScriptedOp(c, i), &result) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(ok, ops);
+  EXPECT_TRUE(cluster.WaitApplied(ops));
+  EXPECT_EQ(pushed(0), ops);
+  EXPECT_EQ(pushed(1), 0u);
+  EXPECT_EQ(pushed(2), 0u);
+
+  // Client 1's script replayed on a local store gives the value to expect.
+  const std::string key = "c1-k1";
+  kvs::KvStore local;
+  for (uint64_t i = 1; i <= kOpsPerClient; i++) {
+    local.Apply(ScriptedOp(1, i));
+  }
+  const std::string written = local.Apply(smr::MakeGet(1, 0, key));
+  ASSERT_FALSE(written.empty());
+  Client reader("127.0.0.1", cluster.port(2));
+  ASSERT_TRUE(reader.Connect());
+  ASSERT_TRUE(reader.Call(smr::MakeGet(kClients + 1, 1, key), &result));
+  EXPECT_EQ(result, written);
+  EXPECT_TRUE(cluster.WaitApplied(ops + 1));
+  cluster.Stop();
+  EXPECT_EQ(pushed(0), ops);
+  EXPECT_EQ(pushed(1), 0u);
+  EXPECT_EQ(pushed(2), 1u);
+
+  // The read applied on every replica too: one more op on its key's shard.
+  const uint32_t key_shard = smr::Partitioner(kPartitions).ShardOf(key);
+  for (uint32_t p = 0; p < kNodes; p++) {
+    ref.counts[p * kPartitions + key_shard]++;
+  }
+  ExpectConvergedAndMatching(Collect(replicas), ref);
+}
+
+// One ingress window per node: a back-to-back burst of 8 puts per shard lands
+// in one 50 ms window (the connection is paused after its first delivery and
+// read again when the window closes), so each worker gets a single kBatch:
+// every replica executes exactly one engine-level command per shard, and
+// every reply comes back.
+TEST(RtThreadedTest, BurstWithinOneWindowIsOneCommandPerShard) {
+  auto replicas = MakeReplicas(MakeOptions(50 * common::kMillisecond, /*threaded=*/true));
+  LoopbackCluster cluster(replicas);
+  ASSERT_TRUE(cluster.ok());
+
+  constexpr size_t kPerShard = 8;
+  smr::Partitioner part(kPartitions);
+  std::vector<std::vector<std::string>> keys(kPartitions);
+  size_t filled = 0;
+  for (int i = 0; filled < kPartitions && i < 10000; i++) {
+    std::string k = "burst" + std::to_string(i);
+    std::vector<std::string>& shard_keys = keys[part.ShardOf(k)];
+    if (shard_keys.size() < kPerShard) {
+      shard_keys.push_back(k);
+      filled += shard_keys.size() == kPerShard ? 1 : 0;
+    }
+  }
+  ASSERT_EQ(filled, kPartitions);
+
+  Client client("127.0.0.1", cluster.port(0));
+  ASSERT_TRUE(ConnectWithRetry(client));
+  uint64_t sent = 0;
+  for (size_t j = 0; j < kPerShard; j++) {
+    for (uint32_t s = 0; s < kPartitions; s++) {
+      ASSERT_TRUE(client.Send(smr::MakePut(1, ++sent, keys[s][j], "v")));
+    }
+  }
+  uint64_t replies = 0;
+  uint64_t seq = 0;
+  std::string result;
+  while (replies < sent && client.RecvReply(&seq, &result)) {
+    replies++;
+  }
+  EXPECT_EQ(replies, sent);
+  EXPECT_TRUE(cluster.WaitApplied(sent));
+  cluster.Stop();
+  for (uint32_t p = 0; p < kNodes; p++) {
+    EXPECT_EQ(replicas[p]->stats().executed, kPartitions)
+        << "node " << p << " did not get one batch per shard";
+  }
+}
+
+// A client that hangs up while its connection is paused (mid-window) is
+// noticed when the window closes and reaped; its command still applies on
+// every replica, and the node keeps serving other clients.
+TEST(RtThreadedTest, ClientClosingMidWindowIsReapedAndNodeKeepsServing) {
+  auto replicas = MakeReplicas(MakeOptions(50 * common::kMillisecond, /*threaded=*/true));
+  LoopbackCluster cluster(replicas);
+  ASSERT_TRUE(cluster.ok());
+
+  Client other("127.0.0.1", cluster.port(0));
+  ASSERT_TRUE(ConnectWithRetry(other));
+  std::string result;
+  // A first round trip: node 0's engine runs, so the next command is batched.
+  ASSERT_TRUE(other.Call(smr::MakePut(2, 1, "other", "up"), &result));
+  {
+    Client gone("127.0.0.1", cluster.port(0));
+    ASSERT_TRUE(gone.Connect());
+    ASSERT_TRUE(gone.Send(smr::MakePut(1, 1, "gone", "sent")));
+  }  // closes well inside the 50 ms window its command opened
+  EXPECT_TRUE(cluster.WaitApplied(2));
+  uint64_t ok = 0;
+  for (uint64_t seq = 2; seq <= 5; seq++) {
+    ok += other.Call(smr::MakePut(2, seq, "other", "v" + std::to_string(seq)),
+                     &result)
+              ? 1
+              : 0;
+  }
+  EXPECT_EQ(ok, 4u);
+  ASSERT_TRUE(other.Call(smr::MakeGet(2, 6, "gone"), &result));
+  EXPECT_EQ(result, "sent");
+  EXPECT_TRUE(cluster.WaitApplied(7));
+  cluster.Stop();
 }
 
 }  // namespace
