@@ -1,9 +1,8 @@
 // Closed-loop wall-clock benchmark over loopback TCP (thread-per-shard runtime).
 //
 // Real sockets, real threads, real time — the wall-clock counterpart to the
-// deterministic simulated sweeps: 3 replicas on 127.0.0.1 running the threaded
-// runtime (smr::DeploymentOptions::threaded — P worker threads per node behind
-// SPSC mailboxes), swept over P ∈ {1, 2, 4, 8} × protocol {atlas, epaxos,
+// deterministic simulated sweeps: 3 replicas on 127.0.0.1 running the TCP
+// runtime (P worker threads per node behind SPSC mailboxes), swept over P ∈ {1, 2, 4, 8} × protocol {atlas, epaxos,
 // mencius}. The workload shape follows FoundationDB's Throughput-style
 // closed-loop clients: one pipelined client per node with a fixed window of
 // outstanding 100-byte puts over private keys (closed loop with concurrency W,
@@ -94,7 +93,6 @@ PointResult RunPoint(const PointSpec& spec) {
   // are batched per window. 1ms is the poll granularity of the runtime's
   // timers and far below client-visible latency targets.
   d.batch_window = 1 * common::kMillisecond;
-  d.threaded = true;
   d.executor_threads = spec.executor_threads;
   std::vector<std::unique_ptr<smr::Deployment>> replicas;
   // Every node binds an ephemeral port; the resolved table goes to all of

@@ -1,14 +1,12 @@
 // Real-runtime example: a 3-replica Atlas KVS over actual TCP sockets (localhost),
 // exercised by a client issuing reads and writes — the same replica assembly
-// (smr::Deployment) that the simulator harness drives, run by the epoll runtime.
+// (smr::Deployment) that the simulator harness drives, run by the TCP runtime
+// (one worker thread per shard behind SPSC mailboxes).
 //
 //   $ ./build/kvs_cluster                       # classic single-engine replicas
 //   $ ./build/kvs_cluster --partitions 4        # 4 engines per node, key-space sharded
 //   $ ./build/kvs_cluster --partitions 4 --batch-window-ms 5 --batch-max 32
-//   $ ./build/kvs_cluster --partitions 4 --threads-per-node   # one worker thread
-//                                               # per shard behind SPSC mailboxes
-//   $ ./build/kvs_cluster --partitions 4 --threads-per-node --pin-cores
-//   $ ./build/kvs_cluster --partitions 4 --threads-per-node --executor-threads 2
+//   $ ./build/kvs_cluster --partitions 4 --executor-threads 2
 //                                               # + 2 execution lanes per shard
 //                                               # applying commands in parallel
 //   $ ./build/kvs_cluster --data-dir /tmp/kvs   # durable: per-shard commit log +
@@ -36,8 +34,6 @@ int main(int argc, char** argv) {
   uint32_t partitions = 1;
   uint64_t batch_window_ms = 0;
   size_t batch_max = 64;
-  bool threaded = false;
-  bool pin_cores = false;
   size_t executor_threads = 0;
   std::string data_dir;
   for (int i = 1; i < argc; i++) {
@@ -47,10 +43,6 @@ int main(int argc, char** argv) {
       batch_window_ms = static_cast<uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--batch-max") == 0 && i + 1 < argc) {
       batch_max = static_cast<size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads-per-node") == 0) {
-      threaded = true;
-    } else if (std::strcmp(argv[i], "--pin-cores") == 0) {
-      pin_cores = true;
     } else if (std::strcmp(argv[i], "--executor-threads") == 0 && i + 1 < argc) {
       executor_threads = static_cast<size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--data-dir") == 0 && i + 1 < argc) {
@@ -58,19 +50,10 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--partitions N] [--batch-window-ms N] "
-                   "[--batch-max N] [--threads-per-node] [--pin-cores] "
-                   "[--executor-threads N] [--data-dir DIR]\n",
+                   "[--batch-max N] [--executor-threads N] [--data-dir DIR]\n",
                    argv[0]);
       return 2;
     }
-  }
-  if (pin_cores && !threaded) {
-    std::fprintf(stderr, "--pin-cores requires --threads-per-node\n");
-    return 2;
-  }
-  if (executor_threads > 0 && !threaded) {
-    std::fprintf(stderr, "--executor-threads requires --threads-per-node\n");
-    return 2;
   }
   if (partitions < 1 || partitions > smr::ShardedEngine::kMaxPartitions ||
       batch_max < 1) {
@@ -96,11 +79,6 @@ int main(int argc, char** argv) {
     d.partitions = partitions;
     d.batch_window = batch_window_ms * common::kMillisecond;
     d.batch_max = batch_max;
-    // Threaded runtime: each shard's engine runs on its own worker thread
-    // behind SPSC mailboxes (--pin-cores additionally sets CPU affinity,
-    // shard s -> core s % ncores). Single-driver epoll loop otherwise.
-    d.threaded = threaded;
-    d.pin_cores = pin_cores;
     // Parallel execution pipeline: each shard's store becomes a laned store
     // and an executor pool applies non-conflicting commands concurrently
     // (ordering stays on the shard worker; see src/exec/exec_pool.h).
@@ -123,10 +101,7 @@ int main(int argc, char** argv) {
   for (auto& node : nodes) {
     node->set_peers(addrs);
   }
-  std::printf("3 ATLAS replicas (P=%u%s", partitions,
-              threaded ? (pin_cores ? ", thread-per-shard, pinned"
-                                    : ", thread-per-shard")
-                       : "");
+  std::printf("3 ATLAS replicas (P=%u", partitions);
   if (executor_threads > 0) {
     std::printf(", %zu exec lanes/shard", executor_threads);
   }

@@ -21,8 +21,8 @@
 // Exactness, not approximation: the XOR of the lane digests equals the digest
 // of the flat store bit for bit, at every lane count. The single-threaded
 // Apply() path routes through the same lanes, which is the deterministic
-// fallback the simulator and non-threaded runtime use: same routing, same
-// per-key order, same digests, no threads.
+// fallback the simulator uses: same routing, same per-key order, same
+// digests, no threads.
 //
 // Lane routing deliberately re-mixes the shard hash: shards are assigned by
 // HashKey(key) % P, so using the raw hash modulo E again would correlate lanes
@@ -86,8 +86,8 @@ class LanedStore final : public smr::StateMachine, public smr::LanePartition {
   // barrier operation. Result matches the flat backend's Apply exactly.
   std::string ApplyCrossLane(const smr::Command& cmd);
 
-  // smr::StateMachine — the inline single-threaded path (simulator,
-  // non-threaded runtime): same lane routing, applied sequentially.
+  // smr::StateMachine — the inline single-threaded path (the simulator):
+  // same lane routing, applied sequentially.
   std::string Apply(const smr::Command& cmd) override;
   // XOR of the lane digests == flat-store digest (see header comment).
   uint64_t StateDigest() const override;

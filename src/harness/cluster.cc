@@ -214,8 +214,9 @@ void Cluster::OnExecuted(common::ProcessId p, const common::Dot& dot,
   // The site's Deployment applies the command (unpacking composite submission
   // batches) to its per-shard stores and counts; the harness accounts each client
   // command on top — checker history, execution trace, client completion.
-  replicas_[p]->ApplyExecuted(
-      dot, cmd,
+  smr::Deployment& replica = *replicas_[p];
+  replica.ApplyExecuted(
+      replica.ShardOfCmd(cmd), dot, cmd, exec_scratch_,
       [this, p, &dot](uint32_t shard, const smr::Command& sub, std::string&&) {
         AccountExecuted(p, dot, shard, sub);
       });
@@ -275,7 +276,7 @@ void Cluster::CompleteClient(uint64_t client_index, common::Time completion_time
 void Cluster::OnDropped(common::ProcessId p, const common::Dot& dot,
                         const smr::Command& orig) {
   // A dropped batch drops every client command it carried; resubmit each.
-  replicas_[p]->ForEachDropped(orig,
+  replicas_[p]->ForEachDropped(orig, drop_scratch_,
                                [this](const smr::Command& sub) { DropOne(sub); });
 }
 

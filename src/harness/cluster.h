@@ -252,9 +252,14 @@ class Cluster {
   ClusterOptions opts_;
   std::unique_ptr<sim::Simulator> sim_;
   // One Deployment per site: the replica assembly layer owns engines, per-shard
-  // stores, applied counts and the kBatch unpack scratch. The harness adds only
-  // what the simulation needs on top (checkers, clients, metrics).
+  // stores and applied counts. The harness adds only what the simulation needs
+  // on top (checkers, clients, metrics).
   std::vector<std::unique_ptr<smr::Deployment>> replicas_;
+  // kBatch unpack scratch for executed and dropped commands. Drop handlers
+  // only post resubmissions, so OnDropped never reenters itself while it
+  // iterates drop_scratch_.
+  std::vector<smr::Command> exec_scratch_;
+  std::vector<smr::Command> drop_scratch_;
   // One history checker per partition: commands in different partitions never
   // conflict, so each partition's history is independently checkable.
   std::vector<std::unique_ptr<chk::HistoryChecker>> checkers_;

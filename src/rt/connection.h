@@ -1,8 +1,8 @@
 // Framed, buffered, non-blocking TCP connection on an EventLoop.
 //
 // The runtime's one framing/buffering implementation: rt::Node's I/O thread
-// uses it for client connections (and, in the inline runtime, for peers), and
-// each shard worker of the threaded runtime uses it for its own peer sockets.
+// uses it for client connections (and for a peer connection until its hello
+// names the shard), and each shard worker uses it for its own peer sockets.
 // Frames follow src/rt/wire.h. Writes use send(..., MSG_NOSIGNAL): a peer that
 // vanished while frames were queued to it (EPIPE, ECONNRESET) closes the
 // connection instead of killing the process with SIGPIPE.
@@ -76,7 +76,7 @@ class Connection {
   bool closed() const { return closed_; }
   size_t queued_bytes() const { return out_.size(); }
 
-  common::ProcessId peer_id = common::kInvalidProcess;  // set after peer hello
+  common::ProcessId peer_id = common::kInvalidProcess;  // set by the owning worker
   bool is_client = false;
   bool dirty = false;  // queued frames awaiting the owner's pass-end flush
 

@@ -13,7 +13,6 @@
 
 #include "src/codec/codec.h"
 #include "src/common/check.h"
-#include "src/dur/shard_durability.h"
 #include "src/msg/message.h"
 #include "src/rt/wire.h"
 
@@ -37,34 +36,25 @@ sockaddr_in LoopbackAddr(const PeerAddress& a) {
 
 Node::Node(common::ProcessId id, std::vector<PeerAddress> peers,
            smr::Deployment* deployment)
-    : self_(id), peers_(std::move(peers)), deployment_(deployment), lanes_(1) {
+    : self_(id), peers_(std::move(peers)), deployment_(deployment), shards_(deployment) {
   CHECK_LT(self_, peers_.size());
-  CHECK(deployment_ != nullptr);
   const smr::DeploymentOptions& d = deployment_->options();
-  if (d.threaded) {
-    lanes_ = deployment_->partitions();
-    // Submission batching as on the sharded inline path: enabled only at
-    // P > 1 (P = 1 stays the unbatched seed configuration).
-    batch_window_ = lanes_ > 1 ? d.batch_window : 0;
-    batch_max_ = d.batch_max;
-    batches_.resize(lanes_);
-    ShardRuntime::Options ro;
-    ro.pin_cores = d.pin_cores;
-    ro.mailbox_capacity = d.mailbox_capacity;
-    shards_ = std::make_unique<ShardRuntime>(deployment_, ro);
-    shards_->set_output_notify([this]() { out_bell_.Ring(); });
-    shards_->set_peer_lost([this](uint32_t shard, common::ProcessId peer) {
-      loop_.PostFromAnyThread([this, shard, peer]() { OnShardPeerLost(shard, peer); });
-    });
-    loop_.WatchFd(out_bell_.fd(), EPOLLIN, [this](uint32_t) { OnWorkerOutput(); });
-    out_bell_.Arm();
-  }
+  lanes_ = deployment_->partitions();
+  // Submission batching as on the sharded simulator path: enabled only at
+  // P > 1 (P = 1 stays the unbatched seed configuration).
+  batch_window_ = lanes_ > 1 ? d.batch_window : 0;
+  batch_max_ = d.batch_max;
+  batches_.resize(lanes_);
+  shards_.set_output_notify([this]() { out_bell_.Ring(); });
+  shards_.set_peer_lost([this](uint32_t shard, common::ProcessId peer) {
+    loop_.PostFromAnyThread([this, shard, peer]() { OnShardPeerLost(shard, peer); });
+  });
+  loop_.WatchFd(out_bell_.fd(), EPOLLIN, [this](uint32_t) { OnWorkerOutput(); });
+  out_bell_.Arm();
 }
 
 Node::~Node() {
-  if (shards_ != nullptr) {
-    shards_->Stop();
-  }
+  shards_.Stop();
   if (listen_fd_ >= 0) {
     close(listen_fd_);
   }
@@ -121,26 +111,19 @@ void Node::Run() {
   }
   MaybeStartEngine();
   loop_.Run();
-  if (shards_ != nullptr) {
-    // Join every shard worker before returning control to the caller (who may
-    // destroy the deployment), then push out the replies the workers produced
-    // between the last drain and the join.
-    shards_->Stop();
-    DrainShardOutputs();
-    FlushDirty();
-  }
+  // Join every shard worker before returning control to the caller (who may
+  // destroy the deployment), then push out the replies the workers produced
+  // between the last drain and the join.
+  shards_.Stop();
+  DrainShardOutputs();
+  FlushDirty();
 }
 
 void Node::Stop() { loop_.Stop(); }
 
 void Node::ResetPeerConnection(common::ProcessId peer, uint32_t shard) {
   loop_.PostFromAnyThread([this, peer, shard]() {
-    if (shards_ == nullptr) {
-      auto it = peer_conns_.find(peer);
-      if (it != peer_conns_.end()) {
-        it->second->Shutdown();
-      }
-    } else if (engine_started_ && shard < lanes_) {
+    if (engine_started_ && shard < lanes_) {
       route_.kind = ShardInput::Kind::kReset;
       route_.from = peer;
       RouteInput(shard, route_);
@@ -151,9 +134,8 @@ void Node::ResetPeerConnection(common::ProcessId peer, uint32_t shard) {
 // --- Mesh: dialing, hellos, hand-off --------------------------------------
 
 void Node::DialPeer(PeerLane pl) {
-  if (dialing_.count(pl) > 0 ||
-      (shards_ == nullptr && peer_conns_.count(pl.first) > 0)) {
-    return;  // already dialing, or (inline) the peer is connected
+  if (dialing_.count(pl) > 0) {
+    return;
   }
   int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (fd < 0) {
@@ -184,12 +166,6 @@ void Node::OnDialReady(PeerLane pl, int fd) {
     ScheduleRedial(pl);
     return;
   }
-  if (shards_ == nullptr) {
-    auto conn = std::make_unique<Connection>(&loop_, fd, this);
-    conn->peer_id = pl.first;
-    AdoptPeerConnection(pl.first, std::move(conn));
-    return;
-  }
   HandOffPeerSocket(pl, fd, std::string());
   // The peer is up: dial its other lost lanes now instead of waiting out
   // their backoff, so a restarted peer's mesh re-forms at once.
@@ -211,24 +187,12 @@ void Node::OnPeerHello(Connection* conn, codec::Reader& r) {
       conn->is_client) {
     return;
   }
-  if (shards_ != nullptr) {
-    // The socket belongs to the lane's worker from here on, together with any
-    // frames the peer sent right behind its hello.
-    std::string unread;
-    int fd = conn->Release(&unread);
-    OnClosed(conn);  // reap the husk
-    HandOffPeerSocket({peer, lane}, fd, std::move(unread));
-    return;
-  }
-  conn->peer_id = peer;
-  for (auto& holder : anonymous_) {
-    if (holder.get() == conn) {
-      AdoptPeerConnection(peer, std::move(holder));
-      break;
-    }
-  }
-  anonymous_.erase(std::remove(anonymous_.begin(), anonymous_.end(), nullptr),
-                   anonymous_.end());
+  // The socket belongs to the lane's worker from here on, together with any
+  // frames the peer sent right behind its hello.
+  std::string unread;
+  int fd = conn->Release(&unread);
+  OnClosed(conn);  // reap the husk
+  HandOffPeerSocket({peer, lane}, fd, std::move(unread));
 }
 
 void Node::NotePeerUp(PeerLane pl) {
@@ -241,19 +205,6 @@ void Node::NotePeerUp(PeerLane pl) {
     dialing_.erase(dial);
   }
   redial_backoff_.erase(pl);
-}
-
-void Node::AdoptPeerConnection(common::ProcessId peer,
-                               std::unique_ptr<Connection> conn) {
-  NotePeerUp({peer, 0});
-  // A reconnect replaces any stale connection to the same peer; scrub every
-  // raw pointer to the old one before its unique_ptr frees it.
-  auto old = peer_conns_.find(peer);
-  if (old != peer_conns_.end()) {
-    ForgetConn(old->second.get());
-  }
-  peer_conns_[peer] = std::move(conn);
-  MaybeStartEngine();
 }
 
 void Node::HandOffPeerSocket(PeerLane pl, int fd, std::string unread) {
@@ -278,42 +229,26 @@ void Node::HandOffPeerSocket(PeerLane pl, int fd, std::string unread) {
 }
 
 void Node::MaybeStartEngine() {
-  size_t peers_up = shards_ != nullptr ? held_.size() : peer_conns_.size();
-  if (engine_started_ || peers_up < (peers_.size() - 1) * lanes_) {
+  if (engine_started_ || held_.size() < (peers_.size() - 1) * lanes_) {
     return;
   }
   engine_started_ = true;
-  if (shards_ != nullptr) {
-    // Each worker binds and starts its own shard engine on its own thread,
-    // with its connections to that shard on every peer; workers apply
-    // recovered restart hints and advertise catch-up themselves.
-    std::vector<std::vector<ShardRuntime::PeerSocket>> sockets(lanes_);
-    for (auto& [pl, held] : held_) {
-      sockets[pl.second].push_back(
-          ShardRuntime::PeerSocket{pl.first, held.fd, std::move(held.unread)});
-    }
-    held_.clear();
-    shards_->Start(self_, static_cast<uint32_t>(peers_.size()), std::move(sockets));
-    for (smr::Command& cmd : pending_submits_) {
-      uint32_t shard = 0;
-      if (deployment_->partitions() > 1) {
-        deployment_->partitioner().SingleShard(cmd, &shard);  // validated at OnFrame
-      }
-      SubmitToShard(shard, cmd);
-    }
-    pending_submits_.clear();
-    return;
+  // Each worker binds and starts its own shard engine on its own thread, with
+  // its connections to that shard on every peer; workers apply recovered
+  // restart hints and advertise catch-up themselves.
+  std::vector<std::vector<ShardRuntime::PeerSocket>> sockets(lanes_);
+  for (auto& [pl, held] : held_) {
+    sockets[pl.second].push_back(
+        ShardRuntime::PeerSocket{pl.first, held.fd, std::move(held.unread)});
   }
-  deployment_->engine().Bind(self_, static_cast<uint32_t>(peers_.size()), this);
-  deployment_->engine().OnStart();
-  if (deployment_->HasRecoveredState()) {
-    // After OnStart, so protocol initialization cannot clobber the floors.
-    deployment_->ApplyRestartHints(deployment_->RecoveredRestartHints());
-  }
-  SendCatchupRequests();
-  ReplayPendingPeerFrames();
+  held_.clear();
+  shards_.Start(self_, static_cast<uint32_t>(peers_.size()), std::move(sockets));
   for (smr::Command& cmd : pending_submits_) {
-    deployment_->engine().Submit(std::move(cmd));
+    uint32_t shard = 0;
+    if (lanes_ > 1) {
+      deployment_->partitioner().SingleShard(cmd, &shard);  // validated at OnFrame
+    }
+    SubmitToShard(shard, cmd);
   }
   pending_submits_.clear();
 }
@@ -328,16 +263,7 @@ void Node::OnFrame(Connection* conn, const uint8_t* data, size_t size) {
     return;
   }
   if (kind == wire::kFrameClientHello) {
-    conn->is_client = conn->peer_id == common::kInvalidProcess;
-    return;
-  }
-  if (conn->peer_id != common::kInvalidProcess) {
-    // Inline mode only: threaded peer sockets never reach this thread.
-    if (!engine_started_) {
-      BufferPeerFrame(conn->peer_id, data, size);
-    } else {
-      HandlePeerFrame(conn->peer_id, r, kind);
-    }
+    conn->is_client = true;
     return;
   }
   msg::Message m;
@@ -354,7 +280,7 @@ void Node::OnFrame(Connection* conn, const uint8_t* data, size_t size) {
   // door, at any partition count.
   bool unroutable = req->cmd.is_batch();
   uint32_t shard = 0;
-  if (!unroutable && deployment_->partitions() > 1) {
+  if (!unroutable && lanes_ > 1) {
     // Partition-aware routing: validate against the deployment's Partitioner
     // before the command reaches an engine. Unroutable input from an
     // untrusted client (noOps, key sets spanning partitions) is rejected as
@@ -391,148 +317,14 @@ void Node::OnFrame(Connection* conn, const uint8_t* data, size_t size) {
   waiting_clients_[key] = conn;
   if (!engine_started_) {
     pending_submits_.push_back(std::move(req->cmd));
-  } else if (shards_ != nullptr) {
-    SubmitToShard(shard, req->cmd);
-    // Read again when the window closes: arrivals until then wait in the
-    // kernel socket buffer instead of waking this thread.
-    if (window_ == Window::kOpen && conn->PauseInput()) {
-      paused_conns_.push_back(conn);
-    }
-  } else {
-    deployment_->engine().Submit(std::move(req->cmd));
-  }
-}
-
-void Node::HandlePeerFrame(common::ProcessId from, codec::Reader& r, uint8_t kind) {
-  switch (kind) {
-    case wire::kFrameMessage: {
-      msg::Message m;
-      if (msg::Decode(r, m)) {
-        deployment_->engine().OnMessage(from, m);
-      }
-      break;
-    }
-    case wire::kFrameCatchupReq:
-      HandleCatchupRequest(from, r);
-      break;
-    case wire::kFrameCatchupEntries:
-      // The normal executed path: the durable admit filter deduplicates
-      // entries our own log replay (or another peer's stream) already covered.
-      wire::ForEachCatchupEntry(
-          r, [this](uint64_t shard, const common::Dot& dot, const smr::Command& cmd) {
-            if (shard < deployment_->partitions()) {
-              Executed(dot, cmd);
-            }
-          });
-      break;
-    default:
-      break;
-  }
-}
-
-void Node::BufferPeerFrame(common::ProcessId from, const uint8_t* data,
-                           size_t size) {
-  // Overflow falls back to dropping, as before buffering existed; the window
-  // between mesh completion and engine start is a handful of milliseconds, so
-  // the cap exists only to bound a misbehaving peer.
-  constexpr size_t kMaxPendingPeerFrames = 65536;
-  if (pending_peer_frames_.size() >= kMaxPendingPeerFrames) {
     return;
   }
-  pending_peer_frames_.push_back(
-      PendingPeerFrame{from, std::vector<uint8_t>(data, data + size)});
-}
-
-void Node::ReplayPendingPeerFrames() {
-  std::vector<PendingPeerFrame> frames;
-  frames.swap(pending_peer_frames_);
-  for (PendingPeerFrame& f : frames) {
-    codec::Reader r(f.bytes.data(), f.bytes.size());
-    uint8_t kind = r.U8();
-    HandlePeerFrame(f.from, r, kind);
+  SubmitToShard(shard, req->cmd);
+  // Read again when the window closes: arrivals until then wait in the
+  // kernel socket buffer instead of waking this thread.
+  if (window_ == Window::kOpen && conn->PauseInput()) {
+    paused_conns_.push_back(conn);
   }
-}
-
-void Node::SendCatchupRequests() {
-  if (catchup_requested_ || !deployment_->durable() ||
-      !deployment_->HasRecoveredState()) {
-    return;
-  }
-  catchup_requested_ = true;
-  const smr::Deployment::CatchupAdvert& adv = deployment_->catchup_advert();
-  for (auto& [p, conn] : peer_conns_) {
-    for (uint32_t s = 0; s < adv.shards.size(); s++) {
-      encode_scratch_.Clear();
-      wire::EncodeCatchupRequest(encode_scratch_, s, adv.shards[s].seq_floor,
-                                 adv.shards[s].frontier);
-      conn->QueueFrame(encode_scratch_.buffer());
-    }
-    conn->Flush();
-  }
-}
-
-void Node::HandleCatchupRequest(common::ProcessId from, codec::Reader& r) {
-  wire::CatchupRequest req;
-  if (!wire::DecodeCatchupRequest(r, &req) || req.shard >= deployment_->partitions()) {
-    return;
-  }
-  deployment_->shard_engine(req.shard).OnRestore(from, req.seq_floor);
-  dur::ShardDurability* d = deployment_->durability(req.shard);
-  auto it = peer_conns_.find(from);
-  if (d == nullptr || it == peer_conns_.end()) {
-    return;  // requester vanished again; it will re-request on its next start
-  }
-  Connection* conn = it->second.get();
-  wire::StreamCatchup(*d, req.shard, req.frontier,
-                      [conn](const std::vector<uint8_t>& payload) {
-                        conn->QueueFrame(payload);
-                      });
-  conn->Flush();
-}
-
-// --- Inline-mode smr::Context ---------------------------------------------
-
-void Node::Send(common::ProcessId to, msg::Message m) {
-  auto it = peer_conns_.find(to);
-  if (it == peer_conns_.end() || it->second->closed()) {
-    return;  // peer down; engines tolerate message loss
-  }
-  // Reuse the encode scratch (clear-not-reallocate), pre-sized so Encode never
-  // reallocates mid-message; SendFrame copies into the connection's write buffer.
-  encode_scratch_.Clear();
-  encode_scratch_.Reserve(1 + msg::EncodedSize(m));
-  encode_scratch_.U8(wire::kFrameMessage);
-  msg::Encode(encode_scratch_, m);
-  it->second->SendFrame(encode_scratch_.buffer());
-}
-
-void Node::SetTimer(common::Duration delay, uint64_t token) {
-  // The token is round-tripped untouched back into the deployment's top-level
-  // engine: on sharded replicas it already carries the shard tag (and the
-  // flush-vs-inner discriminator bit) stamped by the ShardedEngine, so two inner
-  // engines picking equal raw tokens can never collide in the timer wheel.
-  loop_.AddTimer(delay,
-                 [this, token]() { deployment_->engine().OnTimer(token); });
-}
-
-void Node::Executed(const common::Dot& dot, const smr::Command& cmd) {
-  // The deployment demultiplexes the executed command — unpacking kBatch
-  // composites — onto its per-shard stores; each client sub-command's result is
-  // sent to the client waiting on it (if it submitted here). On durable
-  // deployments the dot also drives the commit log and its dedup filter.
-  deployment_->ApplyExecuted(
-      dot, cmd, [this](uint32_t, const smr::Command& sub, std::string&& result) {
-        if (!sub.is_noop()) {
-          applied_ops_.fetch_add(1, std::memory_order_release);
-        }
-        ReplyToClient(sub.client, sub.seq, std::move(result), /*dropped=*/false);
-      });
-}
-
-void Node::Dropped(const common::Dot& dot, const smr::Command& original) {
-  deployment_->ForEachDropped(original, [this](const smr::Command& sub) {
-    ReplyToClient(sub.client, sub.seq, "", /*dropped=*/true);
-  });
 }
 
 // --- Client replies --------------------------------------------------------
@@ -553,13 +345,13 @@ void Node::CompleteClient(uint64_t client, uint64_t seq,
   }
 }
 
-void Node::ReplyToClient(uint64_t client, uint64_t seq, std::string&& value,
-                         bool dropped, bool flush) {
+void Node::OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
+                         bool dropped) {
   // Completion bookkeeping runs for every completion that reaches this node,
   // whether or not a client is waiting: catch-up entries and commands
   // submitted via a since-dead connection still complete, and a reconnecting
-  // client must find their cached results. Threaded workers send only the
-  // completions of clients that submitted here, plus catch-up entries.
+  // client must find their cached results. Workers send only the completions
+  // of clients that submitted here, plus catch-up entries.
   CompleteClient(client, seq, value, dropped);
   auto it = waiting_clients_.find(chk::CmdKey{client, seq});
   if (it == waiting_clients_.end()) {
@@ -567,19 +359,21 @@ void Node::ReplyToClient(uint64_t client, uint64_t seq, std::string&& value,
   }
   Connection* conn = it->second;
   waiting_clients_.erase(it);
-  SendReply(conn, client, seq, std::move(value), dropped, flush);
-}
-
-void Node::OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
-                         bool dropped) {
-  ReplyToClient(client, seq, std::move(value), dropped, /*flush=*/false);
+  if (!conn->closed()) {
+    conn->QueueFrame(EncodeReply(client, seq, std::move(value), dropped));
+    MarkDirty(conn);
+  }
 }
 
 void Node::SendReply(Connection* conn, uint64_t client, uint64_t seq,
-                     std::string&& value, bool dropped, bool flush) {
-  if (conn == nullptr || conn->closed()) {
-    return;
+                     std::string&& value, bool dropped) {
+  if (!conn->closed()) {
+    conn->SendFrame(EncodeReply(client, seq, std::move(value), dropped));
   }
+}
+
+const std::vector<uint8_t>& Node::EncodeReply(uint64_t client, uint64_t seq,
+                                              std::string&& value, bool dropped) {
   msg::ClientReply reply;
   reply.client = client;
   reply.seq = seq;
@@ -588,15 +382,10 @@ void Node::SendReply(Connection* conn, uint64_t client, uint64_t seq,
   encode_scratch_.Clear();
   encode_scratch_.U8(wire::kFrameMessage);
   msg::Encode(encode_scratch_, msg::Message{reply});
-  if (flush) {
-    conn->SendFrame(encode_scratch_.buffer());
-  } else {
-    conn->QueueFrame(encode_scratch_.buffer());
-    MarkDirty(conn);
-  }
+  return encode_scratch_.buffer();
 }
 
-// --- Threaded-mode I/O tier ------------------------------------------------
+// --- Ingress batching and worker mailboxes ---------------------------------
 
 void Node::SubmitToShard(uint32_t shard, smr::Command& cmd) {
   AnnounceClient(cmd.client);
@@ -666,14 +455,14 @@ bool Node::RouteInput(uint32_t shard, ShardInput& in) {
   // we spin on its inbox (the deadlock the mailbox discipline forbids).
   constexpr int kMaxSpins = 200000;
   for (int spin = 0;; spin++) {
-    if (shards_->Push(shard, in)) {
+    if (shards_.Push(shard, in)) {
       return true;
     }
     if (DrainShardOutputs() > 0) {
       FlushDirty();
     }
     if (spin >= kMaxSpins) {
-      shards_->DropInput(in);
+      shards_.DropInput(in);
       return false;
     }
     std::this_thread::yield();
@@ -688,13 +477,13 @@ void Node::OnWorkerOutput() {
     out_bell_.Arm();
     // Arm-then-recheck: output pushed between the drain and the arm produced
     // no ring (bell was disarmed), so catch it here and go around again.
-    if (!shards_->HasOutput()) {
+    if (!shards_.HasOutput()) {
       break;
     }
   }
 }
 
-size_t Node::DrainShardOutputs() { return shards_->DrainOutputs(*this); }
+size_t Node::DrainShardOutputs() { return shards_.DrainOutputs(*this); }
 
 void Node::MarkDirty(Connection* conn) {
   if (!conn->dirty) {
@@ -752,20 +541,10 @@ void Node::ReapConnections() {
   }
   anonymous_.erase(std::remove(anonymous_.begin(), anonymous_.end(), nullptr),
                    anonymous_.end());
-  for (auto it = peer_conns_.begin(); it != peer_conns_.end();) {
-    if (it->second->closed()) {
-      common::ProcessId peer = it->first;
-      ForgetConn(it->second.get());
-      it = peer_conns_.erase(it);
-      ScheduleRedial({peer, 0});
-    } else {
-      ++it;
-    }
-  }
 }
 
 void Node::OnShardPeerLost(uint32_t shard, common::ProcessId peer) {
-  if (!shards_->stopped(shard)) {
+  if (!shards_.stopped(shard)) {
     ScheduleRedial({peer, shard});
   }
 }

@@ -6,34 +6,30 @@
 // deployment's smr::Partitioner and the reply is sent when the command
 // executes locally.
 //
-// Two execution modes, selected by smr::DeploymentOptions::threaded:
-//   * inline (default): the epoll thread drives every shard engine itself,
-//     exactly as the simulator harness does, over one connection per peer;
-//   * thread-per-shard: one worker thread per shard (src/rt/shard_runtime.h)
-//     owns that shard's engine *and* its own connection to the same shard on
-//     every peer, so protocol traffic never crosses the epoll thread. The
-//     epoll thread keeps the listen socket and the client connections, dials
-//     and re-dials every (peer, shard) connection and hands each one to its
-//     shard's worker, and batches client commands per shard for one
-//     node-wide batch window before handing each worker one kBatch composite.
-//     While the window is open, a client connection that delivered input is
-//     not read again until the window closes, so later arrivals wait in the
-//     kernel instead of waking the epoll thread. Workers reply only to the
-//     clients this node announced to them (those that submit here).
+// Thread-per-shard: one worker thread per shard (src/rt/shard_runtime.h) owns
+// that shard's engine *and* its own connection to the same shard on every
+// peer, so protocol traffic never crosses the epoll thread; P=1 runs one
+// worker. The epoll thread keeps the listen socket and the client
+// connections, dials and re-dials every (peer, shard) connection and hands
+// each one to its shard's worker, and batches client commands per shard for
+// one node-wide batch window before handing each worker one kBatch composite.
+// While the window is open, a client connection that delivered input is not
+// read again until the window closes, so later arrivals wait in the kernel
+// instead of waking the epoll thread. Workers reply only to the clients this
+// node announced to them (those that submit here).
 //
 // Fault tolerance: a lost peer connection is re-dialed with backoff by the
 // dialing side per the mesh rule above; the accepting side waits for the fresh
 // hello. A node constructed over a non-empty data_dir recovers its stores from
 // disk (snapshot + log tail, see src/dur), then — once the mesh re-forms —
-// advertises each shard's executed-dot frontier to every peer; peers stream
-// back the commits it missed, which apply through the normal executed path
+// each shard worker advertises its executed-dot frontier to every peer; peers
+// stream back the commits it missed, which apply through the normal executed path
 // (the durable admit filter deduplicates). Clients that vanish mid-request are
 // reaped too; on durable nodes a reconnecting client may resubmit the same
 // (client, seq) and gets the cached result instead of a re-execution.
 #ifndef SRC_RT_NODE_H_
 #define SRC_RT_NODE_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -56,9 +52,7 @@ struct PeerAddress {
   uint16_t port = 0;
 };
 
-class Node final : public smr::Context,
-                   public ShardOutputSink,
-                   public Connection::Handler {
+class Node final : public ShardOutputSink, public Connection::Handler {
  public:
   // The deployment (one node's full replica assembly: engine, per-shard stores,
   // batching) is borrowed and must outlive the node. A peer address with port
@@ -73,8 +67,8 @@ class Node final : public smr::Context,
   bool Listen();
   // Replaces the address table (same size; before Run()).
   void set_peers(std::vector<PeerAddress> peers);
-  // Dials higher-id peers, waits for lower-id peers, then starts the engine and
-  // serves until Stop(). Blocks.
+  // Dials higher-id peers, waits for lower-id peers, then starts the shard
+  // workers and serves until Stop(). Blocks.
   void Run();
   // Thread-safe.
   void Stop();
@@ -84,31 +78,20 @@ class Node final : public smr::Context,
   // Client commands applied to this node's stores so far (sub-commands of a batch
   // count individually; noOps excluded). Safe to read from other threads: tests
   // poll it to detect quiescence before stopping the cluster.
-  uint64_t applied_ops() const {
-    return shards_ != nullptr ? shards_->applied_ops()
-                              : applied_ops_.load(std::memory_order_acquire);
-  }
+  uint64_t applied_ops() const { return shards_.applied_ops(); }
 
-  // Thread-per-shard runtime; nullptr in inline mode. Exposed for fault
-  // drills (tests stop one shard's worker and assert clean node shutdown).
-  ShardRuntime* shard_runtime() { return shards_.get(); }
+  // The shard workers. Exposed for fault drills (tests stop one shard's
+  // worker and assert clean node shutdown).
+  ShardRuntime* shard_runtime() { return &shards_; }
 
   // Fault drill, thread-safe: shuts down this node's connection to `peer` that
-  // carries shard `shard` (inline mode: the one connection to `peer`), as if
-  // the network dropped it. The mesh re-dials it like any other lost link.
+  // carries shard `shard`, as if the network dropped it. The mesh re-dials it
+  // like any other lost link.
   void ResetPeerConnection(common::ProcessId peer, uint32_t shard);
 
-  // smr::Context (inline mode; in threaded mode the per-shard workers are the
-  // engines' contexts and these are never invoked):
-  void Send(common::ProcessId to, msg::Message m) override;
-  common::Time Now() const override { return EventLoop::NowUs(); }
-  void SetTimer(common::Duration delay, uint64_t token) override;
-  void Executed(const common::Dot& dot, const smr::Command& cmd) override;
-  void Dropped(const common::Dot& dot, const smr::Command& original) override;
-
-  // ShardOutputSink (threaded mode, I/O thread): queue the reply on its
-  // client's connection; DrainShardOutputs flushes each touched socket once
-  // per pass.
+  // ShardOutputSink (I/O thread): records the completion (durable nodes) and
+  // queues the reply on the connection of the client waiting for it, if any;
+  // OnWorkerOutput flushes each touched socket once per pass.
   void OnClientReply(uint64_t client, uint64_t seq, std::string&& value,
                      bool dropped) override;
 
@@ -117,9 +100,9 @@ class Node final : public smr::Context,
   void OnClosed(Connection* conn) override;
 
  private:
-  // A (peer, shard) connection slot: one per peer inline, P per peer threaded.
+  // A (peer, shard) connection slot.
   using PeerLane = std::pair<common::ProcessId, uint32_t>;
-  // A threaded-mode peer socket held (unread, unwatched) until the workers start.
+  // A peer socket held (unread, unwatched) until the workers start.
   struct HeldSocket {
     int fd = -1;
     std::string unread;
@@ -127,75 +110,62 @@ class Node final : public smr::Context,
 
   void AcceptReady();
   void OnPeerHello(Connection* conn, codec::Reader& r);
-  // A (peer, lane) connection is up: inline mode adopts the Connection as the
-  // peer's, threaded mode hands its socket to the lane's worker (or holds it
-  // until the workers start).
-  void AdoptPeerConnection(common::ProcessId peer, std::unique_ptr<Connection> conn);
+  // A (peer, lane) connection is up: its socket goes to the lane's worker, or
+  // is held until the workers start.
   void HandOffPeerSocket(PeerLane pl, int fd, std::string unread);
   void NotePeerUp(PeerLane pl);
+  // Starts the shard workers once every (peer, shard) connection is up.
   void MaybeStartEngine();
   // Connection teardown: a closed socket schedules a reap on the loop (never
   // destroyed mid-callback); the reap scrubs every raw pointer to the
   // connection (waiting_clients_, dirty_conns_, paused_conns_) before freeing
-  // it, and schedules a backoff re-dial when the lost peer is one this node
-  // dials.
+  // it. A worker that lost a peer connection reports it through
+  // OnShardPeerLost, which schedules a backoff re-dial when the lost peer is
+  // one this node dials.
   void ReapConnections();
   void ForgetConn(Connection* conn);
   void OnShardPeerLost(uint32_t shard, common::ProcessId peer);
   void ScheduleRedial(PeerLane pl);
   void DialPeer(PeerLane pl);
   void OnDialReady(PeerLane pl, int fd);
-  // Inline mode, pre-start peer traffic: frames from peers whose engines
-  // started before ours are held and replayed in arrival order the moment our
-  // engine starts (see pending_peer_frames_). Threaded workers need no such
-  // buffer: a socket is not read until its worker's engine runs.
-  void BufferPeerFrame(common::ProcessId from, const uint8_t* data, size_t size);
-  void ReplayPendingPeerFrames();
-  void HandlePeerFrame(common::ProcessId from, codec::Reader& r, uint8_t kind);
-  // Inline mode, durable restart: advertise recovered frontiers to every peer
-  // (once, when the engine starts) so they stream back what this node missed.
-  void SendCatchupRequests();
-  void HandleCatchupRequest(common::ProcessId from, codec::Reader& r);
   // Completion bookkeeping for durable client idempotency (no-op otherwise).
   void CompleteClient(uint64_t client, uint64_t seq, const std::string& value,
                       bool dropped);
-  // Threaded mode: a client command for `shard`, batched for the node's
-  // batch window (P > 1) before it reaches the worker. A client's first
-  // command is preceded by its announcement to every worker.
+  // A client command for `shard`, batched for the node's batch window (P > 1)
+  // before it reaches the worker. A client's first command is preceded by its
+  // announcement to every worker.
   void SubmitToShard(uint32_t shard, smr::Command& cmd);
   void AnnounceClient(uint64_t client);
   void FlushBatch(uint32_t shard);
   // Closes the batch window: reads every paused client connection (their
   // commands join this window), then flushes every shard's batch.
   void CloseWindow();
-  // Threaded mode: moves `in` into its shard's inbox, draining worker outboxes
-  // while the inbox is full (never a blocking wait; bounded retries, then the
-  // input is dropped, counted, and false returned).
+  // Moves `in` into its shard's inbox, draining worker outboxes while the
+  // inbox is full (never a blocking wait; bounded retries, then the input is
+  // dropped, counted, and false returned).
   bool RouteInput(uint32_t shard, ShardInput& in);
-  // Threaded mode: doorbell callback — drain outboxes, flush dirty sockets.
+  // Doorbell callback — drain outboxes, flush dirty sockets.
   void OnWorkerOutput();
   size_t DrainShardOutputs();
   void MarkDirty(Connection* conn);
   void FlushDirty();
-  // Records the completion (durable nodes) and sends a ClientReply frame to
-  // the client waiting on (client, seq), if any. With `flush` false the frame
-  // is queued and the connection marked dirty instead (threaded drain path).
-  void ReplyToClient(uint64_t client, uint64_t seq, std::string&& value, bool dropped,
-                     bool flush = true);
-  // Sends a ClientReply frame on a specific connection (rejection path).
+  // Encodes a ClientReply frame into encode_scratch_ and returns it.
+  const std::vector<uint8_t>& EncodeReply(uint64_t client, uint64_t seq,
+                                          std::string&& value, bool dropped);
+  // Sends a ClientReply frame on a specific connection at once (rejection and
+  // completion-cache paths).
   void SendReply(Connection* conn, uint64_t client, uint64_t seq, std::string&& value,
-                 bool dropped, bool flush = true);
+                 bool dropped);
 
   common::ProcessId self_;
   std::vector<PeerAddress> peers_;
   smr::Deployment* deployment_;
-  // Connections per peer: one per shard threaded, a single one inline.
-  uint32_t lanes_;
+  // Connections per peer: one per shard.
+  uint32_t lanes_ = 0;
 
   EventLoop loop_;
   int listen_fd_ = -1;
-  std::map<common::ProcessId, std::unique_ptr<Connection>> peer_conns_;  // inline
-  std::map<PeerLane, HeldSocket> held_;  // threaded, until the workers start
+  std::map<PeerLane, HeldSocket> held_;  // until the workers start
   std::vector<std::unique_ptr<Connection>> anonymous_;  // pre-hello + client conns
   // (client, seq) -> connection serving that client.
   std::unordered_map<chk::CmdKey, Connection*, chk::CmdKeyHash> waiting_clients_;
@@ -204,38 +174,25 @@ class Node final : public smr::Context,
   std::map<PeerLane, int> dialing_;
   std::map<PeerLane, common::Duration> redial_backoff_;
   bool reap_scheduled_ = false;
-  bool catchup_requested_ = false;
   // Durable client idempotency: commands submitted but not yet completed, and
   // each client's last completed (seq, result) for resubmit short-circuiting.
-  // Inline mode sees every completion; threaded mode only those of clients
-  // that submitted through this node, plus catch-up entries — enough, since
-  // a client always reconnects to the node it talks to.
+  // The workers send only the completions of clients that submitted through
+  // this node, plus catch-up entries — enough, since a client always
+  // reconnects to the node it talks to.
   std::unordered_set<chk::CmdKey, chk::CmdKeyHash> in_flight_;
   std::unordered_map<uint64_t, std::pair<uint64_t, std::string>> client_done_;
   // Client commands that arrived before the peer mesh completed; submitted the
-  // moment the engine starts.
+  // moment the workers start.
   std::vector<smr::Command> pending_submits_;
-  // Inline mode: peer frames that arrived before this node's own mesh
-  // completed, replayed at engine start. Nodes start their engines at
-  // different moments — a faster peer's first proposal must not be dropped
-  // here: protocols whose commit needs every live replica's ack (Mencius)
-  // would wedge that slot forever. Bounded; overflow falls back to dropping.
-  struct PendingPeerFrame {
-    common::ProcessId from;
-    std::vector<uint8_t> bytes;  // full frame, kind byte included
-  };
-  std::vector<PendingPeerFrame> pending_peer_frames_;
-  // Reused (clear-not-reallocate) encode scratch for all outbound frames; pre-sized
-  // per message via msg::EncodedSize so encoding never grows it mid-message.
+  // Reused (clear-not-reallocate) encode scratch for client reply frames.
   codec::Writer encode_scratch_;
-  std::atomic<uint64_t> applied_ops_{0};
   bool engine_started_ = false;
 
-  // Threaded mode only. Ingress batching: one window per node opens when a
-  // client command is batched and none is open, and closes batch_window
-  // later; each shard's commands then go to its worker as one kBatch
-  // composite (a shard reaching batch_max flushes at once). While the window
-  // is open, client connections that delivered input are paused.
+  // Ingress batching: one window per node opens when a client command is
+  // batched and none is open, and closes batch_window later; each shard's
+  // commands then go to its worker as one kBatch composite (a shard reaching
+  // batch_max flushes at once). While the window is open, client connections
+  // that delivered input are paused.
   common::Duration batch_window_ = 0;
   size_t batch_max_ = 64;
   enum class Window : uint8_t { kClosed, kOpen, kClosing };
@@ -247,12 +204,12 @@ class Node final : public smr::Context,
   codec::Writer batch_writer_;
   smr::PayloadPool batch_pool_;
   ShardInput route_;  // reused inbox envelope
-  // Declaration order matters: workers ring out_bell_ and reference the
-  // deployment, so shards_ (declared last) is destroyed — and its workers
-  // joined — first.
+  // Declaration order matters: workers ring out_bell_, post to loop_ and
+  // reference the deployment, so shards_ (declared last) is destroyed — and
+  // its workers joined — first.
   Doorbell out_bell_;
   std::vector<Connection*> dirty_conns_;
-  std::unique_ptr<ShardRuntime> shards_;
+  ShardRuntime shards_;
 };
 
 // Minimal synchronous client for examples and tests. Also supports pipelined

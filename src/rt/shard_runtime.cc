@@ -1,7 +1,5 @@
 #include "src/rt/shard_runtime.h"
 
-#include <pthread.h>
-#include <sched.h>
 #include <sys/epoll.h>
 #include <unistd.h>
 
@@ -32,18 +30,17 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
   Worker(ShardRuntime* owner, uint32_t shard)
       : owner_(owner),
         shard_(shard),
-        inbox_(owner->opts_.mailbox_capacity),
-        outbox_(owner->opts_.mailbox_capacity) {
+        inbox_(kMailboxSlots),
+        outbox_(kMailboxSlots) {
     const smr::DeploymentOptions& d = owner_->deployment_->options();
     // Executor pool (ordering/execution split): the engine keeps emitting in
     // deterministic order on this thread; state application fans out across
     // the pool's commute lanes. Completions come back through Poll() in the
-    // main loop and turn into the same replies the inline path pushes.
+    // main loop and turn into the same replies inline execution pushes.
     exec::LanedStore* laned = owner_->deployment_->laned_store(shard_);
     if (laned != nullptr && d.executor_threads > 0) {
       exec::ExecPool::Options po;
       po.lanes = static_cast<uint32_t>(d.executor_threads);
-      po.mailbox_capacity = std::min<size_t>(1024, owner_->opts_.mailbox_capacity);
       po.on_completion = [this](uint64_t client, uint64_t seq,
                                 std::string&& value) {
         PushReply(client, seq, std::move(value), /*dropped=*/false);
@@ -88,15 +85,6 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
       AttachPeer(s.peer, s.fd, std::move(s.unread));
     }
     thread_ = std::thread([this]() { ThreadMain(); });
-    if (owner_->opts_.pin_cores) {
-      long ncpu = sysconf(_SC_NPROCESSORS_ONLN);
-      if (ncpu > 0) {
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        CPU_SET(static_cast<int>(shard_ % static_cast<uint32_t>(ncpu)), &set);
-        pthread_setaffinity_np(thread_.native_handle(), sizeof(set), &set);
-      }
-    }
   }
 
   void RequestStop() {
@@ -158,7 +146,7 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
       }
       return;
     }
-    owner_->deployment_->ApplyExecutedShard(
+    owner_->deployment_->ApplyExecuted(
         shard_, dot, cmd, exec_scratch_,
         [this](uint32_t, const smr::Command& sub, std::string&& result) {
           if (!sub.is_noop()) {
@@ -171,11 +159,12 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
   }
 
   void Dropped(const common::Dot& dot, const smr::Command& original) override {
-    owner_->deployment_->ForEachDropped(original, [this](const smr::Command& sub) {
-      if (sub.client != 0) {
-        PushReply(sub.client, sub.seq, std::string(), /*dropped=*/true);
-      }
-    });
+    owner_->deployment_->ForEachDropped(
+        original, drop_scratch_, [this](const smr::Command& sub) {
+          if (sub.client != 0) {
+            PushReply(sub.client, sub.seq, std::string(), /*dropped=*/true);
+          }
+        });
   }
 
   // Connection::Handler (worker thread only): frames from the peer shard.
@@ -470,17 +459,15 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
   codec::Writer encode_;
   ShardInput in_;
   ShardOutput reply_;
-  std::vector<smr::Command> exec_scratch_;
+  std::vector<smr::Command> exec_scratch_;  // kBatch unpack reuse (execute path)
+  std::vector<smr::Command> drop_scratch_;  // ... drop path
   // Executor pool (nullptr when executor_threads == 0: inline execution).
   std::unique_ptr<exec::ExecPool> pool_;
 };
 
-ShardRuntime::ShardRuntime(smr::Deployment* deployment, Options opts)
-    : deployment_(deployment),
-      opts_(opts),
-      partitions_(deployment->partitions()) {
+ShardRuntime::ShardRuntime(smr::Deployment* deployment)
+    : deployment_(deployment), partitions_(deployment->partitions()) {
   CHECK(deployment_ != nullptr);
-  CHECK_GE(opts_.mailbox_capacity, 2u);
   for (uint32_t s = 0; s < partitions_; s++) {
     workers_.push_back(std::make_unique<Worker>(this, s));
   }

@@ -1,10 +1,10 @@
 // Thread-per-shard worker tier of the real runtime.
 //
-// The single-driver rt::Node multiplexed all P shard engines of a deployment
-// over one epoll thread, so the 3.3x simulated shard speedup never turned into
-// real parallelism (and P=8 regressed from driver contention). ShardRuntime
-// splits a replica into the tiers that parallel SMR designs (Marandi et al.'s
-// P-SMR, Whittaker et al.'s compartmentalization) arrive at:
+// Multiplexing all P shard engines of a deployment over one epoll thread
+// would never turn the simulated shard speedup into real parallelism.
+// ShardRuntime splits a replica into the tiers that parallel SMR designs
+// (Marandi et al.'s P-SMR, Whittaker et al.'s compartmentalization) arrive at
+// (P=1 is one worker):
 //
 //   * the I/O tier (rt::Node's epoll thread) owns the listen socket and the
 //     client connections, dials and re-dials peers, and batches client
@@ -33,10 +33,10 @@
 // blocks in epoll on its sockets plus an eventfd doorbell, with its next timer
 // deadline as the timeout, so an idle replica burns no CPU.
 //
-// The simulator path is untouched: threading is a runtime-only property
-// selected by smr::DeploymentOptions::threaded, and the engines driven here
-// are the same sans-I/O objects the simulator drives single-threadedly (the
-// determinism pins and P=1 byte-identity do not move).
+// The simulator path is untouched: threading is a property of the TCP runtime
+// only, and the engines driven here are the same sans-I/O objects the
+// simulator drives single-threadedly (the determinism pins and P=1
+// byte-identity do not move).
 #ifndef SRC_RT_SHARD_RUNTIME_H_
 #define SRC_RT_SHARD_RUNTIME_H_
 
@@ -94,10 +94,10 @@ class ShardOutputSink {
 
 class ShardRuntime {
  public:
-  struct Options {
-    bool pin_cores = false;      // pin worker s to CPU s % ncpus
-    size_t mailbox_capacity = 8192;  // slots per edge
-  };
+  // Slots per (I/O <-> shard) mailbox edge. The rings are allocated up front,
+  // so this and the ShardInput/ShardOutput sizes set most of a node's
+  // start-up cost.
+  static constexpr size_t kMailboxSlots = 8192;
 
   // A connected peer socket for one shard, handed over at Start().
   struct PeerSocket {
@@ -109,7 +109,7 @@ class ShardRuntime {
   // The deployment is borrowed and must outlive the runtime. Its per-shard
   // engines/stores are owned by the workers between Start() and Stop(): no
   // other thread may touch them (including stats()) until the workers join.
-  ShardRuntime(smr::Deployment* deployment, Options opts);
+  explicit ShardRuntime(smr::Deployment* deployment);
   ~ShardRuntime();
 
   // `fn` is invoked from worker threads whenever output lands in an empty
@@ -155,7 +155,6 @@ class ShardRuntime {
   bool HasOutput() const;
 
   uint32_t partitions() const { return partitions_; }
-  bool started() const { return started_; }
   bool stopped(uint32_t shard) const;
   // Client commands applied across all shards (atomic; readable any time).
   uint64_t applied_ops() const {
@@ -180,7 +179,6 @@ class ShardRuntime {
   class Worker;
 
   smr::Deployment* deployment_;
-  Options opts_;
   uint32_t partitions_;
   std::function<void()> output_notify_;
   std::function<void(uint32_t, common::ProcessId)> peer_lost_;

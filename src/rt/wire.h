@@ -7,10 +7,9 @@
 //   client hello:     [u8 = 2]
 //   catch-up request: [u8 = 3][varint shard][varint seq_floor][bytes frontier]
 //   catch-up entries: [u8 = 4][varint shard][varint count][count x (dot, cmd)]
-// A peer hello names the shard whose traffic the connection carries: in the
-// thread-per-shard runtime every (peer, shard) pair has its own connection,
-// owned by that shard's worker; the inline runtime uses one connection per
-// peer, with shard 0 in its hello. Catch-up frames are per shard either way.
+// A peer hello names the shard whose traffic the connection carries: every
+// (peer, shard) pair has its own connection, owned by that shard's worker.
+// Catch-up frames carry the shard too.
 #ifndef SRC_RT_WIRE_H_
 #define SRC_RT_WIRE_H_
 

@@ -14,9 +14,10 @@
 //     its own dot space/conflict index/executor, plus per-shard service replicas
 //     (kvs::KvStore by default), per-shard applied counts and submission batching.
 //
-// Drivers (sim::Simulator via harness::Cluster, rt::Node over TCP) talk to the
-// assembled replica exclusively through the smr::Engine/Context interfaces, and use
-// the unpack helpers here to demultiplex executed/committed/dropped commands —
+// The simulator harness and the TCP runtime talk to the assembled replica
+// exclusively through the smr::Engine/Context interfaces — the harness through
+// engine(), rt::Node through shard_engine(s) on one worker thread per shard — and
+// use the unpack helpers here to demultiplex executed/committed/dropped commands —
 // including kBatch composites — back to per-shard stores and per-client completions.
 // Compartmentalization (Whittaker et al.) calls this decoupling of replica roles
 // from deployment shape the enabler for deployment-side scaling; every future
@@ -89,26 +90,21 @@ struct DeploymentOptions {
   // Builds the per-shard service replica; nullptr defaults to kvs::KvStore.
   std::function<std::unique_ptr<StateMachine>()> state_machine_factory;
 
-  // Runtime threading (honored by rt::Node only; the simulator path stays
-  // single-threaded and byte-identical regardless of these). With `threaded`
-  // set, each shard's engine runs on its own OS worker thread fed by bounded
-  // SPSC mailboxes (src/rt/shard_runtime.h) instead of being multiplexed over
-  // the I/O thread. `pin_cores` additionally pins worker s to CPU s % ncpus.
+  // Ignored: rt::Node always runs each shard's engine on its own worker
+  // thread (src/rt/shard_runtime.h). Kept only until perfbench/lan_cluster.cc,
+  // which still sets it, stops doing so.
   bool threaded = false;
-  bool pin_cores = false;
-  size_t mailbox_capacity = 8192;  // slots per (I/O <-> shard) mailbox edge
 
   // Parallel execution pipeline (ordering/execution split): with
   // executor_threads > 0 each shard's store becomes an exec::LanedStore with
-  // that many commute lanes, and the *threaded* runtime applies non-conflicting
+  // that many commute lanes, and the TCP runtime applies non-conflicting
   // commands concurrently on a per-shard executor pool (src/exec/exec_pool.h).
-  // Single-threaded drivers (the simulator, the non-threaded runtime) honor the
-  // laned store but apply inline through it — a deterministic fallback with
-  // byte-identical state and digests at every thread count. 0 keeps plain
-  // per-shard stores and inline execution (byte-identical to the seed; the
-  // determinism pins rely on this). Composes with state_machine_factory: the
-  // laned store builds one backend instance per lane through the factory and
-  // routes via StateMachine::LaneHint.
+  // The simulator honors the laned store but applies inline through it — a
+  // deterministic fallback with byte-identical state and digests at every
+  // thread count. 0 keeps plain per-shard stores and inline execution
+  // (byte-identical to the seed; the determinism pins rely on this). Composes
+  // with state_machine_factory: the laned store builds one backend instance
+  // per lane through the factory and routes via StateMachine::LaneHint.
   size_t executor_threads = 0;
 
   // Persistence (src/dur): non-empty enables the per-shard commit log +
@@ -156,14 +152,14 @@ class Deployment {
   }
 
   // The shard's store as a lane-partitioned store, or nullptr when
-  // executor_threads == 0 (plain store, inline execution). The threaded
+  // executor_threads == 0 (plain store, inline execution). The TCP
   // runtime hands this to the shard's exec::ExecPool.
   exec::LanedStore* laned_store(uint32_t shard) const {
     return laned_.empty() ? nullptr : laned_[shard];
   }
 
   // Post-apply accounting for executor pools, callable from lane threads:
-  // the inline Apply* paths below count through the same atomics.
+  // the inline ApplyExecuted path below counts through the same atomics.
   void CountApplied(uint32_t shard, const Command& cmd) {
     if (!cmd.is_noop()) {
       applied_counts_[shard].fetch_add(1, std::memory_order_release);
@@ -238,66 +234,40 @@ class Deployment {
     return durability_.empty() ? nullptr : durability_[shard].get();
   }
 
-  // Applies one executed engine-level command — unpacking kBatch composites in
-  // encoded order — to the right per-shard store, bumping applied counts, then
+  // Applies one command executed by shard `shard`'s engine — unpacking kBatch
+  // composites into the caller-owned `scratch` and applying the sub-commands in
+  // encoded order — to that shard's store, bumping its applied count, then
   // invokes fn(shard, sub_command, result) per client command (noOps included;
-  // they apply as no-ops and carry client 0). The unpack scratch is reused
-  // across calls (allocation-free for warm capacities). `dot` is the executed
-  // command's identifier, used for durable logging/dedup; pass an invalid dot
-  // (default Dot{}) when durability is off.
+  // they apply as no-ops and carry client 0). Every sub-command of a batch
+  // belongs to the batch's shard: the submission path routed it there. A
+  // caller running the top-level engine() passes ShardOfCmd(cmd); a shard
+  // worker passes its own shard, so one worker per shard may apply
+  // concurrently (applied_counts_[shard] is then written by that worker
+  // alone; readers synchronize via worker join or use the runtime's atomic
+  // counters). The scratch is reused across calls (allocation-free for warm
+  // capacities). `dot` is the executed command's identifier, used for durable
+  // logging/dedup; pass an invalid dot (default Dot{}) when durability is off.
   template <class Fn>
-  void ApplyExecuted(const common::Dot& dot, const Command& cmd, Fn&& fn) {
-    if (cmd.is_batch()) {
-      CHECK(UnpackBatch(cmd, exec_scratch_));
-      // Every sub-command of a batch shares its shard (the submission path
-      // routed the batch there), so admit the composite once.
-      uint32_t shard = ShardOfCmd(exec_scratch_.front());
-      if (!AdmitDurable(shard, dot, cmd)) {
-        return;
-      }
-      for (const Command& sub : exec_scratch_) {
-        ApplyOne(sub, fn);
-      }
-      MaybeSnapshotInline(shard);
-      return;
-    }
-    uint32_t shard = ShardOfCmd(cmd);
-    if (!AdmitDurable(shard, dot, cmd)) {
-      return;
-    }
-    ApplyOne(cmd, fn);
-    MaybeSnapshotInline(shard);
-  }
-
-  // Threaded-runtime variant of ApplyExecuted: applies a command executed by
-  // shard `shard`'s engine using caller-owned unpack scratch, so one worker
-  // thread per shard may apply concurrently (exec_scratch_ and the ShardOfCmd
-  // routing above are single-driver state). Every sub-command of a sharded
-  // engine's command belongs to that shard by construction (the submission
-  // path routed it there); noOps apply as no-ops on the shard's own store.
-  // applied_counts_[shard] is written by shard's worker alone — readers must
-  // synchronize via worker join (or use the runtime's atomic counters).
-  template <class Fn>
-  void ApplyExecutedShard(uint32_t shard, const common::Dot& dot,
-                          const Command& cmd, std::vector<Command>& scratch,
-                          Fn&& fn) {
+  void ApplyExecuted(uint32_t shard, const common::Dot& dot, const Command& cmd,
+                     std::vector<Command>& scratch, Fn&& fn) {
     if (!AdmitDurable(shard, dot, cmd)) {
       return;
     }
     if (cmd.is_batch()) {
       CHECK(UnpackBatch(cmd, scratch));
       for (const Command& sub : scratch) {
-        ApplyOneShard(shard, sub, fn);
+        ApplyOne(shard, sub, fn);
       }
     } else {
-      ApplyOneShard(shard, cmd, fn);
+      ApplyOne(shard, cmd, fn);
     }
     MaybeSnapshotInline(shard);
   }
 
   // Invokes fn(sub_command) for every client command a committed engine-level
-  // command carries. Separate scratch from ApplyExecuted: the Committed hook fires
-  // mid-ApplyCommit and the execute path may unpack later in the same call chain.
+  // command carries. Its own scratch, not a caller's ApplyExecuted scratch: the
+  // Committed hook fires mid-ApplyCommit and the execute path may unpack later
+  // in the same call chain.
   template <class Fn>
   void ForEachCommitted(const Command& cmd, Fn&& fn) {
     if (cmd.is_batch()) {
@@ -311,14 +281,15 @@ class Deployment {
   }
 
   // Invokes fn(sub_command) for every client command a dropped engine-level
-  // command carried. Uses a fresh buffer, not the exec scratch: drop handlers
-  // typically resubmit, which may reenter Submit -> batch -> unpack.
+  // command carried, unpacking into the caller-owned `scratch`. Give it a
+  // buffer of its own: drop handlers may resubmit, and a handler that reenters
+  // Submit -> batch -> unpack -> drop must not unpack into the buffer this
+  // call is still iterating.
   template <class Fn>
-  void ForEachDropped(const Command& orig, Fn&& fn) {
+  void ForEachDropped(const Command& orig, std::vector<Command>& scratch, Fn&& fn) {
     if (orig.is_batch()) {
-      std::vector<Command> subs;
-      CHECK(UnpackBatch(orig, subs));
-      for (const Command& sub : subs) {
+      CHECK(UnpackBatch(orig, scratch));
+      for (const Command& sub : scratch) {
         fn(sub);
       }
       return;
@@ -337,13 +308,7 @@ class Deployment {
   }
 
   template <class Fn>
-  void ApplyOne(const Command& cmd, Fn&& fn) {
-    uint32_t shard = ShardOfCmd(cmd);
-    ApplyOneShard(shard, cmd, fn);
-  }
-
-  template <class Fn>
-  void ApplyOneShard(uint32_t shard, const Command& cmd, Fn&& fn) {
+  void ApplyOne(uint32_t shard, const Command& cmd, Fn&& fn) {
     std::string result = stores_[shard]->Apply(cmd);
     CountApplied(shard, cmd);
     fn(shard, cmd, std::move(result));
@@ -357,8 +322,7 @@ class Deployment {
   // stores_ downcasts when executor_threads > 0 (empty otherwise).
   std::vector<exec::LanedStore*> laned_;
   std::unique_ptr<std::atomic<uint64_t>[]> applied_counts_;
-  std::vector<Command> exec_scratch_;    // kBatch unpack reuse (execute path)
-  std::vector<Command> commit_scratch_;  // ... commit-notification path
+  std::vector<Command> commit_scratch_;  // kBatch unpack reuse (commit path)
   // Per-shard persistence (empty when data_dir is empty).
   std::vector<std::unique_ptr<dur::ShardDurability>> durability_;
   bool recovered_ = false;

@@ -20,6 +20,7 @@
 #include "src/rt/node.h"
 #include "src/rt/shard_runtime.h"
 #include "src/sim/simulator.h"
+#include "src/smr/deployment.h"
 #include "src/smr/sharded_engine.h"
 
 namespace {
@@ -323,6 +324,31 @@ TEST(AllocTest, BatchEncodeReusesPerShardScratch) {
   // before the writer scratch a ~log2(payload) growth sequence on top.
   EXPECT_LE(allocs, kFlushes * 2) << "batch flushes allocated " << allocs
                                   << " times for " << kFlushes << " flushes";
+}
+
+// Pins the drop path's unpack scratch: a dropped kBatch unpacks into the
+// caller's reused vector (the shard worker's, the harness's), not into a fresh
+// vector per drop.
+TEST(AllocTest, DroppedBatchUnpacksIntoCallerScratch) {
+  smr::Deployment dep(smr::DeploymentOptions{});
+  std::vector<smr::Command> subs(16, smr::MakePut(1, 0, "key42", "value"));
+  for (uint64_t i = 0; i < subs.size(); i++) {
+    subs[i].seq = i + 1;
+  }
+  smr::Command batch = smr::MakeBatch(subs);
+  std::vector<smr::Command> scratch;
+  uint64_t seen = 0;
+  auto count = [&seen](const smr::Command&) { seen++; };
+  dep.ForEachDropped(batch, scratch, count);  // warmup: scratch reaches 16 slots
+  uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const uint64_t kDrops = 1000;
+  for (uint64_t i = 0; i < kDrops; i++) {
+    dep.ForEachDropped(batch, scratch, count);
+  }
+  uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(seen, subs.size() * (kDrops + 1));
+  EXPECT_LE(allocs, 8u) << kDrops << " warm batch drops allocated " << allocs
+                        << " times";
 }
 
 // Pins the threaded runtime's mailbox edges to the same recycled-slot

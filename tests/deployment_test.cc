@@ -152,18 +152,23 @@ TEST(DeploymentTest, ApplyExecutedRoutesToPerShardStores) {
   uint32_t shard_b = dep.partitioner().ShardOf(key_b);
 
   std::vector<std::pair<uint32_t, smr::Command>> seen;
-  auto record = [&seen](uint32_t shard, const smr::Command& sub, std::string&&) {
-    seen.emplace_back(shard, sub);
+  std::vector<smr::Command> scratch;
+  // The simulator's routing: a caller of the top-level engine passes ShardOfCmd.
+  auto apply = [&dep, &seen, &scratch](const smr::Command& cmd) {
+    dep.ApplyExecuted(dep.ShardOfCmd(cmd), common::Dot{}, cmd, scratch,
+                      [&seen](uint32_t shard, const smr::Command& sub, std::string&&) {
+                        seen.emplace_back(shard, sub);
+                      });
   };
-  dep.ApplyExecuted(common::Dot{}, smr::MakePut(1, 1, key_a, "va"), record);
-  dep.ApplyExecuted(common::Dot{}, smr::MakePut(1, 2, key_b, "vb"), record);
+  apply(smr::MakePut(1, 1, key_a, "va"));
+  apply(smr::MakePut(1, 2, key_b, "vb"));
 
   // A batch (all sub-commands shard-local by construction) unpacks in encoded
   // order and lands on its shard's store.
   std::vector<smr::Command> subs;
   subs.push_back(smr::MakeRmw(2, 1, key_a, "+1"));
   subs.push_back(smr::MakeRmw(2, 2, key_a, "+2"));
-  dep.ApplyExecuted(common::Dot{}, smr::MakeBatch(subs), record);
+  apply(smr::MakeBatch(subs));
 
   ASSERT_EQ(seen.size(), 4u);
   EXPECT_EQ(seen[0].first, shard_a);
@@ -181,7 +186,7 @@ TEST(DeploymentTest, ApplyExecutedRoutesToPerShardStores) {
 
   // noOps apply nowhere and don't count, but still reach the callback (checker
   // histories include them).
-  dep.ApplyExecuted(common::Dot{}, smr::MakeNoOp(), record);
+  apply(smr::MakeNoOp());
   ASSERT_EQ(seen.size(), 5u);
   EXPECT_EQ(dep.applied_count(0) + dep.applied_count(1) + dep.applied_count(2) +
                 dep.applied_count(3),
@@ -207,7 +212,9 @@ TEST(DeploymentTest, ForEachCommittedAndDroppedUnpackBatches) {
   EXPECT_EQ(committed[1], subs[1]);
 
   std::vector<smr::Command> dropped;
-  dep.ForEachDropped(batch, [&](const smr::Command& c) { dropped.push_back(c); });
+  std::vector<smr::Command> scratch;
+  dep.ForEachDropped(batch, scratch,
+                     [&](const smr::Command& c) { dropped.push_back(c); });
   ASSERT_EQ(dropped.size(), 2u);
   EXPECT_EQ(dropped[1].seq, 7u);
 

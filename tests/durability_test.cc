@@ -406,10 +406,11 @@ void ExpectDeploymentRestartFromDisk(
       EXPECT_FALSE(replicas.back()->HasRecoveredState());
       sim.AddEngine(&replicas[i]->engine());
     }
+    std::vector<smr::Command> scratch;
     sim.SetExecutedHandler([&](common::ProcessId p, const common::Dot& dot,
                                const smr::Command& cmd) {
-      replicas[p]->ApplyExecuted(
-          dot, cmd, [](uint32_t, const smr::Command&, std::string&&) {});
+      replicas[p]->ApplyExecuted(replicas[p]->ShardOfCmd(cmd), dot, cmd, scratch,
+                                 [](uint32_t, const smr::Command&, std::string&&) {});
     });
     sim.Start();
     for (uint64_t c = 1; c <= 4; c++) {
@@ -507,10 +508,11 @@ ClusterDigests RunSimCluster(smr::Protocol protocol, bool crash,
     replicas.push_back(std::make_unique<smr::Deployment>(make_opts(i)));
     sim.AddEngine(&replicas[i]->engine());
   }
+  std::vector<smr::Command> scratch;
   sim.SetExecutedHandler([&](common::ProcessId p, const common::Dot& dot,
                              const smr::Command& cmd) {
-    replicas[p]->ApplyExecuted(
-        dot, cmd, [](uint32_t, const smr::Command&, std::string&&) {});
+    replicas[p]->ApplyExecuted(replicas[p]->ShardOfCmd(cmd), dot, cmd, scratch,
+                               [](uint32_t, const smr::Command&, std::string&&) {});
   });
   sim.Start();
 

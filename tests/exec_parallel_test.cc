@@ -8,10 +8,11 @@
 //     digest must match inline application of the same emission order, at
 //     every lane count, including an all-one-key conflict storm that degrades
 //     the pool to sequential;
-//   * whole cluster: 3-node loopback TCP with thread-per-shard workers and
-//     executor pools (P=4, E in {1,2,4}) must converge to byte-identical
-//     per-(node, shard) digests and applied counts as the single-threaded
-//     simulator reference — for Atlas, EPaxos and Mencius;
+//   * whole cluster: 3-node loopback TCP with thread-per-shard workers, at
+//     P in {1, 4} and E in {0, 1, 2, 4} (E=0: no executor pool, the shard
+//     worker applies inline), must converge to byte-identical per-(node,
+//     shard) digests and applied counts as the single-threaded simulator
+//     reference — for Atlas, EPaxos and Mencius;
 //   * crash drill: killing one executor lane mid-run must not wedge its shard
 //     worker, its node, or the cluster; commands on surviving lanes keep
 //     completing everywhere and shutdown joins cleanly.
@@ -221,7 +222,8 @@ TEST(ExecPoolTest, LanedStoreDigestEqualsFlatStoreDigest) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole cluster: threaded TCP with executor pools vs simulator reference.
+// Whole cluster: threaded TCP, with and without executor pools, vs simulator
+// reference.
 // ---------------------------------------------------------------------------
 
 constexpr uint32_t kNodes = 3;
@@ -229,14 +231,13 @@ constexpr uint32_t kPartitions = 4;
 constexpr uint64_t kClients = 4;
 constexpr uint64_t kOpsPerClient = 16;
 
-smr::DeploymentOptions MakeOptions(smr::Protocol protocol, bool threaded,
+smr::DeploymentOptions MakeOptions(smr::Protocol protocol, uint32_t partitions,
                                    size_t executor_threads) {
   smr::DeploymentOptions d;
   d.protocol = protocol;
   d.n = kNodes;
   d.f = 1;
-  d.partitions = kPartitions;
-  d.threaded = threaded;
+  d.partitions = partitions;
   d.executor_threads = executor_threads;
   return d;
 }
@@ -255,7 +256,8 @@ struct ShardState {
   std::vector<uint64_t> counts;
 };
 
-ShardState SimulatorReference(smr::Protocol protocol, size_t executor_threads) {
+ShardState SimulatorReference(smr::Protocol protocol, uint32_t partitions,
+                              size_t executor_threads) {
   sim::Simulator::Options opts;
   opts.seed = 11;
   sim::Simulator sim(std::make_unique<sim::UniformLatency>(5 * common::kMillisecond,
@@ -264,13 +266,14 @@ ShardState SimulatorReference(smr::Protocol protocol, size_t executor_threads) {
   std::vector<std::unique_ptr<smr::Deployment>> replicas;
   for (uint32_t i = 0; i < kNodes; i++) {
     replicas.push_back(std::make_unique<smr::Deployment>(
-        MakeOptions(protocol, /*threaded=*/false, executor_threads)));
+        MakeOptions(protocol, partitions, executor_threads)));
     sim.AddEngine(&replicas[i]->engine());
   }
+  std::vector<smr::Command> scratch;
   sim.SetExecutedHandler([&](common::ProcessId p, const common::Dot& dot,
                              const smr::Command& cmd) {
-    replicas[p]->ApplyExecuted(
-        dot, cmd, [](uint32_t, const smr::Command&, std::string&&) {});
+    replicas[p]->ApplyExecuted(replicas[p]->ShardOfCmd(cmd), dot, cmd, scratch,
+                               [](uint32_t, const smr::Command&, std::string&&) {});
   });
   sim.Start();
   for (uint64_t c = 1; c <= kClients; c++) {
@@ -282,7 +285,7 @@ ShardState SimulatorReference(smr::Protocol protocol, size_t executor_threads) {
 
   ShardState st;
   for (uint32_t p = 0; p < kNodes; p++) {
-    for (uint32_t s = 0; s < kPartitions; s++) {
+    for (uint32_t s = 0; s < partitions; s++) {
       st.digests.push_back(replicas[p]->store(s).StateDigest());
       st.counts.push_back(replicas[p]->applied_count(s));
     }
@@ -290,12 +293,12 @@ ShardState SimulatorReference(smr::Protocol protocol, size_t executor_threads) {
   return st;
 }
 
-void RunTcpCluster(smr::Protocol protocol, size_t executor_threads,
+void RunTcpCluster(smr::Protocol protocol, uint32_t partitions, size_t executor_threads,
                    ShardState* out) {
   std::vector<std::unique_ptr<smr::Deployment>> replicas;
   for (uint32_t i = 0; i < kNodes; i++) {
     replicas.push_back(std::make_unique<smr::Deployment>(
-        MakeOptions(protocol, /*threaded=*/true, executor_threads)));
+        MakeOptions(protocol, partitions, executor_threads)));
   }
   rt::LoopbackCluster cluster(replicas);
   ASSERT_TRUE(cluster.ok());
@@ -331,24 +334,26 @@ void RunTcpCluster(smr::Protocol protocol, size_t executor_threads,
     EXPECT_EQ(node->applied_ops(), expected) << "node failed to drain";
   }
   for (uint32_t p = 0; p < kNodes; p++) {
-    for (uint32_t s = 0; s < kPartitions; s++) {
+    for (uint32_t s = 0; s < partitions; s++) {
       out->digests.push_back(replicas[p]->store(s).StateDigest());
       out->counts.push_back(replicas[p]->applied_count(s));
     }
   }
 }
 
-void ExpectParity(smr::Protocol protocol) {
+void ExpectParity(smr::Protocol protocol, uint32_t partitions) {
+  SCOPED_TRACE("P=" + std::to_string(partitions));
   // Inline (plain store) and laned (inline-over-lanes) simulator references
   // must agree — the store decomposition changes nothing single-threadedly.
-  ShardState inline_ref = SimulatorReference(protocol, /*executor_threads=*/0);
-  ShardState laned_ref = SimulatorReference(protocol, /*executor_threads=*/4);
+  ShardState inline_ref = SimulatorReference(protocol, partitions, 0);
+  ShardState laned_ref = SimulatorReference(protocol, partitions, 4);
   ASSERT_EQ(laned_ref.digests, inline_ref.digests);
   ASSERT_EQ(laned_ref.counts, inline_ref.counts);
-  // Threaded runtime with executor pools at every lane count == the reference.
-  for (size_t threads : {1u, 2u, 4u}) {
+  // The TCP runtime, applying inline (E=0) or through executor pools at every
+  // lane count, == the reference.
+  for (size_t threads : {0u, 1u, 2u, 4u}) {
     ShardState got;
-    RunTcpCluster(protocol, threads, &got);
+    RunTcpCluster(protocol, partitions, threads, &got);
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
@@ -360,15 +365,21 @@ void ExpectParity(smr::Protocol protocol) {
 }
 
 TEST(ExecParallelClusterTest, AtlasDigestParityAcrossExecutorThreads) {
-  ExpectParity(smr::Protocol::kAtlas);
+  for (uint32_t partitions : {1u, kPartitions}) {
+    ExpectParity(smr::Protocol::kAtlas, partitions);
+  }
 }
 
 TEST(ExecParallelClusterTest, EPaxosDigestParityAcrossExecutorThreads) {
-  ExpectParity(smr::Protocol::kEPaxos);
+  for (uint32_t partitions : {1u, kPartitions}) {
+    ExpectParity(smr::Protocol::kEPaxos, partitions);
+  }
 }
 
 TEST(ExecParallelClusterTest, MenciusDigestParityAcrossExecutorThreads) {
-  ExpectParity(smr::Protocol::kMencius);
+  for (uint32_t partitions : {1u, kPartitions}) {
+    ExpectParity(smr::Protocol::kMencius, partitions);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -381,7 +392,7 @@ TEST(ExecParallelClusterTest, CrashedExecutorLaneDoesNotWedgeNode) {
   std::vector<std::unique_ptr<smr::Deployment>> replicas;
   for (uint32_t i = 0; i < kNodes; i++) {
     replicas.push_back(std::make_unique<smr::Deployment>(
-        MakeOptions(smr::Protocol::kAtlas, /*threaded=*/true, kLanes)));
+        MakeOptions(smr::Protocol::kAtlas, kPartitions, kLanes)));
   }
   rt::LoopbackCluster cluster(replicas);
   ASSERT_TRUE(cluster.ok());

@@ -75,7 +75,6 @@ smr::DeploymentOptions MakeOptions(smr::Protocol protocol,
   d.n = kNodes;
   d.f = 1;
   d.partitions = kPartitions;
-  d.threaded = true;
   d.executor_threads = kExecutorLanes;
   d.data_dir = data_dir + "/site-" + std::to_string(site);
   d.snapshot_every = 32;  // small: restarts recover snapshot + tail, not just log
@@ -165,10 +164,11 @@ ShardState SimulatorReference(smr::Protocol protocol, const std::vector<Op>& ops
     replicas.push_back(std::make_unique<smr::Deployment>(d));
     sim.AddEngine(&replicas[i]->engine());
   }
+  std::vector<smr::Command> scratch;
   sim.SetExecutedHandler([&](common::ProcessId p, const common::Dot& dot,
                              const smr::Command& cmd) {
-    replicas[p]->ApplyExecuted(
-        dot, cmd, [](uint32_t, const smr::Command&, std::string&&) {});
+    replicas[p]->ApplyExecuted(replicas[p]->ShardOfCmd(cmd), dot, cmd, scratch,
+                               [](uint32_t, const smr::Command&, std::string&&) {});
   });
   sim.Start();
   for (const Op& op : ops) {

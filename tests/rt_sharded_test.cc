@@ -1,13 +1,13 @@
 // Sharded replicas over real TCP: 3 nodes, P=4 partitions, mixed kPut/kRmw.
 //
-// The same smr::Deployment assembly runs on the simulator and the epoll runtime,
-// so a fixed workload must produce the same replicated state on both:
+// The same smr::Deployment assembly runs on the simulator and the TCP runtime
+// (one worker thread per shard), so a fixed workload must produce the same
+// replicated state on both:
 //  * every (node, shard) store digest converges across the 3 TCP nodes;
 //  * per-shard digests and applied counts match a simulator run of the identical
 //    command script (counter parity between the two drivers);
-//  * with submission batching enabled, the shard-tagged flush timers route
-//    through the runtime's timer wheel end-to-end and the final state is
-//    unchanged.
+//  * with submission batching enabled (the node's ingress window hands each
+//    shard one kBatch per window) the final state is unchanged.
 //
 // Each client owns a disjoint key set and blocks on every call, so the per-key
 // apply order is the client's program order in every run — which is what makes
@@ -74,10 +74,11 @@ ShardState SimulatorReference() {
     replicas.push_back(std::make_unique<smr::Deployment>(MakeOptions(0)));
     sim.AddEngine(&replicas[i]->engine());
   }
+  std::vector<smr::Command> scratch;
   sim.SetExecutedHandler([&](common::ProcessId p, const common::Dot& dot,
                              const smr::Command& cmd) {
-    replicas[p]->ApplyExecuted(
-        dot, cmd, [](uint32_t, const smr::Command&, std::string&&) {});
+    replicas[p]->ApplyExecuted(replicas[p]->ShardOfCmd(cmd), dot, cmd, scratch,
+                               [](uint32_t, const smr::Command&, std::string&&) {});
   });
   sim.Start();
 
@@ -186,8 +187,8 @@ TEST(RtShardedTest, FourPartitionsConvergeAndMatchSimulator) {
   ExpectConvergedAndMatching(tcp, ref);
 }
 
-// Batching rides the shard-tagged flush timers through the runtime's timer
-// wheel; grouping must not change the final replicated state.
+// Ingress batching groups each shard's commands per window; grouping must not
+// change the final replicated state.
 TEST(RtShardedTest, BatchedSubmissionConvergesToSameState) {
   ShardState ref = SimulatorReference();
   ShardState tcp;

@@ -1,8 +1,8 @@
-// Real-runtime tests: a P=1 Atlas deployment over actual TCP sockets on localhost
-// (framing and behavior must stay exactly as seeded; rt_sharded_test covers P>1),
-// plus the peer-death paths every socket write must survive: a reader that
-// vanished while frames were queued to it is a closed connection (EPIPE),
-// never a process-killing SIGPIPE.
+// Real-runtime tests: a P=1 Atlas deployment (one shard worker per node) over
+// actual TCP sockets on localhost (rt_sharded_test covers P>1), plus the
+// peer-death paths every socket write must survive: a reader that vanished
+// while frames were queued to it is a closed connection (EPIPE), never a
+// process-killing SIGPIPE.
 #include "src/rt/node.h"
 
 #include <gtest/gtest.h>
@@ -26,29 +26,26 @@
 namespace rt {
 namespace {
 
-smr::DeploymentOptions AtlasOptions(uint32_t n, uint32_t partitions, bool threaded) {
+smr::DeploymentOptions AtlasOptions(uint32_t n, uint32_t partitions) {
   smr::DeploymentOptions d;
   d.protocol = smr::Protocol::kAtlas;
   d.n = n;
   d.f = 1;
   d.partitions = partitions;
-  d.threaded = threaded;
   return d;
 }
 
 std::vector<std::unique_ptr<smr::Deployment>> MakeReplicas(uint32_t n,
-                                                           uint32_t partitions,
-                                                           bool threaded) {
+                                                           uint32_t partitions) {
   std::vector<std::unique_ptr<smr::Deployment>> replicas;
   for (uint32_t i = 0; i < n; i++) {
-    replicas.push_back(
-        std::make_unique<smr::Deployment>(AtlasOptions(n, partitions, threaded)));
+    replicas.push_back(std::make_unique<smr::Deployment>(AtlasOptions(n, partitions)));
   }
   return replicas;
 }
 
 TEST(RtTest, ThreeNodeClusterServesClients) {
-  auto replicas = MakeReplicas(3, 1, /*threaded=*/false);
+  auto replicas = MakeReplicas(3, 1);
   LoopbackCluster cluster(replicas);
   ASSERT_TRUE(cluster.ok());
 
@@ -91,7 +88,7 @@ TEST(RtTest, ThreeNodeClusterServesClients) {
 
 // A port someone else is listening on makes Listen fail cleanly — no abort.
 TEST(RtTest, ListenOnTakenPortReturnsFalse) {
-  auto replicas = MakeReplicas(3, 1, /*threaded=*/false);
+  auto replicas = MakeReplicas(3, 1);
   Node first(0, EphemeralAddrs(3), replicas[0].get());
   ASSERT_TRUE(first.Listen());
   std::vector<PeerAddress> taken = EphemeralAddrs(3);
@@ -237,11 +234,11 @@ TEST(RtTest, ClientReadsManyRepliesFromOneWriteInOrder) {
   close(lfd);
 }
 
-// Node-level drills on the threaded runtime: a peer node dies, and separately
+// Node-level drills: a peer node dies, and separately
 // a client disappears, while the survivors still have frames queued to them.
 // The survivors must neither die nor wedge.
 TEST(RtTest, NodeSurvivesPeerAndClientDeathWithQueuedFrames) {
-  auto replicas = MakeReplicas(3, 2, /*threaded=*/true);
+  auto replicas = MakeReplicas(3, 2);
   LoopbackCluster cluster(replicas);
   ASSERT_TRUE(cluster.ok());
 

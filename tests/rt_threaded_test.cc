@@ -1,11 +1,10 @@
 // Thread-per-shard runtime over real TCP: 3 nodes, P=4, one worker thread per
-// shard, each owning its own connection to the same shard on every peer
-// (smr::DeploymentOptions::threaded).
+// shard, each owning its own connection to the same shard on every peer.
 //
 // The threaded tier must be a pure transport change: the same fixed command
 // script produces byte-identical per-(node, shard) store digests and applied
-// counts as (a) the single-driver TCP runtime and (b) the discrete-event
-// simulator driving the same Deployment assembly. Each client owns a disjoint
+// counts as the discrete-event simulator driving the same Deployment
+// assembly. Each client owns a disjoint
 // key set and blocks on every call, so the per-key apply order is the client's
 // program order in every run — which is what makes the cross-driver digest
 // comparison exact even for order-sensitive kRmw.
@@ -48,7 +47,7 @@ constexpr uint32_t kPartitions = 4;
 constexpr uint64_t kClients = 4;
 constexpr uint64_t kOpsPerClient = 20;
 
-smr::DeploymentOptions MakeOptions(common::Duration batch_window, bool threaded) {
+smr::DeploymentOptions MakeOptions(common::Duration batch_window) {
   smr::DeploymentOptions d;
   d.protocol = smr::Protocol::kAtlas;
   d.n = kNodes;
@@ -56,7 +55,6 @@ smr::DeploymentOptions MakeOptions(common::Duration batch_window, bool threaded)
   d.partitions = kPartitions;
   d.batch_window = batch_window;
   d.batch_max = 16;
-  d.threaded = threaded;
   return d;
 }
 
@@ -84,14 +82,14 @@ ShardState SimulatorReference() {
                      opts);
   std::vector<std::unique_ptr<smr::Deployment>> replicas;
   for (uint32_t i = 0; i < kNodes; i++) {
-    replicas.push_back(
-        std::make_unique<smr::Deployment>(MakeOptions(0, /*threaded=*/false)));
+    replicas.push_back(std::make_unique<smr::Deployment>(MakeOptions(0)));
     sim.AddEngine(&replicas[i]->engine());
   }
+  std::vector<smr::Command> scratch;
   sim.SetExecutedHandler([&](common::ProcessId p, const common::Dot& dot,
                              const smr::Command& cmd) {
-    replicas[p]->ApplyExecuted(
-        dot, cmd, [](uint32_t, const smr::Command&, std::string&&) {});
+    replicas[p]->ApplyExecuted(replicas[p]->ShardOfCmd(cmd), dot, cmd, scratch,
+                               [](uint32_t, const smr::Command&, std::string&&) {});
   });
   sim.Start();
   for (uint64_t c = 1; c <= kClients; c++) {
@@ -159,10 +157,10 @@ std::vector<std::unique_ptr<smr::Deployment>> MakeReplicas(
   return replicas;
 }
 
-// Brings up a 3-node loopback cluster (threaded or single-driver), drives the
-// script through blocking clients, drains, and returns per-(node, shard) state.
-void RunTcpCluster(common::Duration batch_window, bool threaded, ShardState* out) {
-  auto replicas = MakeReplicas(MakeOptions(batch_window, threaded));
+// Brings up a 3-node loopback cluster, drives the script through blocking
+// clients, drains, and returns per-(node, shard) state.
+void RunTcpCluster(common::Duration batch_window, ShardState* out) {
+  auto replicas = MakeReplicas(MakeOptions(batch_window));
   LoopbackCluster cluster(replicas);
   ASSERT_TRUE(cluster.ok());
   const uint64_t expected = kClients * kOpsPerClient;
@@ -190,24 +188,16 @@ void ExpectConvergedAndMatching(const ShardState& got, const ShardState& ref) {
   EXPECT_EQ(got.counts, ref.counts);
 }
 
-// The tentpole parity gate: threaded TCP == single-driver TCP == simulator,
-// per (node, shard), digests and counts.
-TEST(RtThreadedTest, ThreadedMatchesSingleDriverAndSimulator) {
+// The parity gate: threaded TCP == simulator, per (node, shard), digests and
+// counts.
+TEST(RtThreadedTest, ThreadedMatchesSimulator) {
   ShardState ref = SimulatorReference();
-  ShardState single;
-  RunTcpCluster(/*batch_window=*/0, /*threaded=*/false, &single);
-  if (HasFatalFailure()) {
-    return;
-  }
   ShardState threaded;
-  RunTcpCluster(/*batch_window=*/0, /*threaded=*/true, &threaded);
+  RunTcpCluster(/*batch_window=*/0, &threaded);
   if (HasFatalFailure()) {
     return;
   }
-  ExpectConvergedAndMatching(single, ref);
   ExpectConvergedAndMatching(threaded, ref);
-  EXPECT_EQ(threaded.digests, single.digests);
-  EXPECT_EQ(threaded.counts, single.counts);
 }
 
 // Ingress batching (the I/O thread collects each shard's commands for the
@@ -216,8 +206,7 @@ TEST(RtThreadedTest, ThreadedMatchesSingleDriverAndSimulator) {
 TEST(RtThreadedTest, ThreadedBatchedSubmissionConvergesToSameState) {
   ShardState ref = SimulatorReference();
   ShardState threaded;
-  RunTcpCluster(/*batch_window=*/2 * common::kMillisecond, /*threaded=*/true,
-                &threaded);
+  RunTcpCluster(/*batch_window=*/2 * common::kMillisecond, &threaded);
   if (HasFatalFailure()) {
     return;
   }
@@ -243,7 +232,7 @@ bool Eventually(Pred pred) {
 // other shards keep committing on ALL nodes (including node 0 — a dead shard
 // must not wedge its node's I/O thread), and full shutdown joins cleanly.
 TEST(RtThreadedTest, CrashedShardThreadDoesNotWedgeNodeAndJoinsCleanly) {
-  auto replicas = MakeReplicas(MakeOptions(0, /*threaded=*/true));
+  auto replicas = MakeReplicas(MakeOptions(0));
   LoopbackCluster cluster(replicas);
   ASSERT_TRUE(cluster.ok());
 
@@ -334,7 +323,7 @@ TEST(RtThreadedTest, CrashedShardThreadDoesNotWedgeNodeAndJoinsCleanly) {
 // the first used (each half cycles through every key of every client).
 TEST(RtThreadedTest, DroppedShardConnectionIsRedialedAndClusterConverges) {
   ShardState ref = SimulatorReference();
-  smr::DeploymentOptions opts = MakeOptions(0, /*threaded=*/true);
+  smr::DeploymentOptions opts = MakeOptions(0);
   opts.commit_timeout = 300 * common::kMillisecond;
   opts.recovery_scan_interval = 100 * common::kMillisecond;
   opts.recovery_retry_interval = 200 * common::kMillisecond;
@@ -401,7 +390,7 @@ TEST(RtThreadedTest, DroppedShardConnectionIsRedialedAndClusterConverges) {
 // reads what was written through node 0.
 TEST(RtThreadedTest, OnlyTheClientsNodePushesReplies) {
   ShardState ref = SimulatorReference();
-  auto replicas = MakeReplicas(MakeOptions(0, /*threaded=*/true));
+  auto replicas = MakeReplicas(MakeOptions(0));
   LoopbackCluster cluster(replicas);
   ASSERT_TRUE(cluster.ok());
   auto pushed = [&cluster](uint32_t node) {
@@ -456,7 +445,7 @@ TEST(RtThreadedTest, OnlyTheClientsNodePushesReplies) {
 // every replica executes exactly one engine-level command per shard, and
 // every reply comes back.
 TEST(RtThreadedTest, BurstWithinOneWindowIsOneCommandPerShard) {
-  auto replicas = MakeReplicas(MakeOptions(50 * common::kMillisecond, /*threaded=*/true));
+  auto replicas = MakeReplicas(MakeOptions(50 * common::kMillisecond));
   LoopbackCluster cluster(replicas);
   ASSERT_TRUE(cluster.ok());
 
@@ -501,7 +490,7 @@ TEST(RtThreadedTest, BurstWithinOneWindowIsOneCommandPerShard) {
 // noticed when the window closes and reaped; its command still applies on
 // every replica, and the node keeps serving other clients.
 TEST(RtThreadedTest, ClientClosingMidWindowIsReapedAndNodeKeepsServing) {
-  auto replicas = MakeReplicas(MakeOptions(50 * common::kMillisecond, /*threaded=*/true));
+  auto replicas = MakeReplicas(MakeOptions(50 * common::kMillisecond));
   LoopbackCluster cluster(replicas);
   ASSERT_TRUE(cluster.ok());
 
