@@ -94,12 +94,14 @@ uint64_t Reader::Varint() {
   return v;
 }
 
-std::string Reader::Bytes() {
+std::string Reader::Bytes() { return std::string(BytesView()); }
+
+std::string_view Reader::BytesView() {
   uint64_t n = Varint();
   if (!Need(n)) {
     return {};
   }
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
+  std::string_view s(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
   return s;
 }

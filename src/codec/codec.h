@@ -96,10 +96,16 @@ class Reader {
   uint64_t Varint();
   bool Bool() { return U8() != 0; }
   std::string Bytes();
+  // Length-prefixed bytes as a view into the reader's buffer (valid while the
+  // buffer is): lets decoders assign into warm strings instead of building
+  // fresh ones.
+  std::string_view BytesView();
   common::Dot Dot();
   common::DepSet Deps();
 
   bool ok() const { return ok_; }
+  // Marks the input malformed (a decoder found a count its bytes cannot hold).
+  void Fail() { ok_ = false; }
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }
 

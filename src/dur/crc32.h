@@ -1,5 +1,5 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected) for log-record and snapshot
-// framing. Table-driven, no external dependency.
+// framing. Slicing-by-8 table lookups, no external dependency.
 #ifndef SRC_DUR_CRC32_H_
 #define SRC_DUR_CRC32_H_
 

@@ -66,9 +66,10 @@ bool ExecPool::StopOne(uint32_t lane) {
 void ExecPool::Execute(const smr::Command& cmd,
                        std::vector<smr::Command>& scratch) {
   if (cmd.is_batch()) {
-    CHECK(smr::UnpackBatch(cmd, scratch));
-    for (smr::Command& sub : scratch) {
-      DispatchOne(sub);  // moved into the lane ring; scratch slots are spent
+    size_t n = smr::UnpackBatch(cmd, scratch);
+    CHECK_GT(n, 0u);
+    for (size_t i = 0; i < n; i++) {
+      DispatchOne(scratch[i]);  // moved into the lane ring; the slot is spent
     }
     return;
   }
@@ -84,9 +85,10 @@ void ExecPool::OnReady(const common::Dot& dot, smr::Command&& cmd,
   (void)dot;
   (void)seqno;
   if (cmd.is_batch()) {
-    CHECK(smr::UnpackBatch(cmd, ready_scratch_));
-    for (smr::Command& sub : ready_scratch_) {
-      DispatchOne(sub);
+    size_t n = smr::UnpackBatch(cmd, ready_scratch_);
+    CHECK_GT(n, 0u);
+    for (size_t i = 0; i < n; i++) {
+      DispatchOne(ready_scratch_[i]);
     }
     return;
   }

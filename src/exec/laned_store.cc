@@ -41,11 +41,9 @@ std::string LanedStore::Apply(const smr::Command& cmd) {
     // Composite submission batch, same semantics as the flat backends'
     // Apply(kBatch): sub-commands apply in encoded order (sequential here —
     // the inline path).
-    std::vector<smr::Command> subs;
-    if (smr::UnpackBatch(cmd, subs)) {
-      for (const smr::Command& sub : subs) {
-        Apply(sub);
-      }
+    size_t n = smr::UnpackBatch(cmd, batch_scratch_);
+    for (size_t i = 0; i < n; i++) {
+      Apply(batch_scratch_[i]);
     }
     return "";
   }

@@ -107,6 +107,8 @@ class LanedStore final : public smr::StateMachine, public smr::LanePartition {
  private:
   uint32_t lanes_;
   std::vector<std::unique_ptr<smr::StateMachine>> stores_;
+  // kBatch sub-commands, decoded in place and reused across batches.
+  std::vector<smr::Command> batch_scratch_;
 };
 
 }  // namespace exec

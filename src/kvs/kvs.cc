@@ -44,11 +44,9 @@ std::string KvStore::Apply(const smr::Command& cmd) {
       // Composite submission batch: apply the sub-commands in encoded order.
       // (The cluster harness unpacks batches itself for per-client completion; this
       // path serves direct StateMachine users like the real runtime.)
-      std::vector<smr::Command> subs;
-      if (smr::UnpackBatch(cmd, subs)) {
-        for (const smr::Command& sub : subs) {
-          Apply(sub);
-        }
+      size_t n = smr::UnpackBatch(cmd, batch_scratch_);
+      for (size_t i = 0; i < n; i++) {
+        Apply(batch_scratch_[i]);
       }
       return "";
     }

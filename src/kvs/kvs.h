@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "src/smr/command.h"
 #include "src/smr/state_machine.h"
@@ -48,6 +49,8 @@ class KvStore final : public smr::StateMachine {
 
  private:
   std::unordered_map<std::string, std::string> map_;
+  // kBatch sub-commands, decoded in place and reused across batches.
+  std::vector<smr::Command> batch_scratch_;
 };
 
 }  // namespace kvs

@@ -45,11 +45,9 @@ std::string OrderedKvs::Apply(const smr::Command& cmd) {
       return "";
     }
     case smr::Op::kBatch: {
-      std::vector<smr::Command> subs;
-      if (smr::UnpackBatch(cmd, subs)) {
-        for (const smr::Command& sub : subs) {
-          Apply(sub);
-        }
+      size_t n = smr::UnpackBatch(cmd, batch_scratch_);
+      for (size_t i = 0; i < n; i++) {
+        Apply(batch_scratch_[i]);
       }
       return "";
     }

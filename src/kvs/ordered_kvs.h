@@ -15,6 +15,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/smr/command.h"
 #include "src/smr/state_machine.h"
@@ -50,6 +51,8 @@ class OrderedKvs final : public smr::StateMachine {
                    std::string& out) const;
 
   std::map<std::string, std::string> map_;
+  // kBatch sub-commands, decoded in place and reused across batches.
+  std::vector<smr::Command> batch_scratch_;
 };
 
 }  // namespace kvs

@@ -4,11 +4,13 @@
 // The threaded runtime (src/rt/shard_runtime.h) connects its tiers with
 // single-producer/single-consumer edges: one inbox per (I/O thread -> shard
 // worker) and one outbox per (shard worker -> I/O thread). Each edge is a
-// Mailbox<T>: a fixed-capacity ring whose slots are allocated once at
-// construction and recycled forever after — pushing *moves* the item into the
-// resident slot, so a slot's string/vector capacity survives reuse and the
-// steady state performs no per-message heap allocation (the same recycled-slot
-// discipline as the simulator's event pool; pinned by alloc_test).
+// Mailbox<T>: a fixed-capacity ring over raw storage reserved once at
+// construction. A slot is built the first time the producer reaches it (the
+// first lap move-constructs each item in place) and is move-assigned on every
+// later lap, so constructing a ring costs O(1) whatever its capacity, and its
+// memory is committed only as the first lap touches it. Items move in and out
+// whole (TryPop moves the item's buffers out with it), so the ring itself
+// performs no heap allocation per message; pinned by alloc_test.
 //
 // Progress discipline (deadlock freedom with bounded rings):
 //   * the I/O thread never blocks on a full inbox — it drains worker outboxes
@@ -26,10 +28,12 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <utility>
-#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/types.h"
@@ -39,8 +43,9 @@ namespace rt {
 // Fixed-capacity single-producer/single-consumer ring. Exactly one thread may
 // call TryPush and exactly one thread may call TryPop (they may be different
 // threads, or the same thread on both ends during setup/teardown). Capacity is
-// rounded up to a power of two; slots are default-constructed once and moved
-// in/out, never destroyed until the mailbox itself dies.
+// rounded up to a power of two. Slot i is constructed by the push with tail i
+// (tails below capacity() build, later ones move-assign), and the slots built,
+// min(tail, capacity()), are destroyed when the mailbox dies.
 template <typename T>
 class Mailbox {
  public:
@@ -50,7 +55,14 @@ class Mailbox {
       cap <<= 1;
     }
     mask_ = cap - 1;
-    slots_.resize(cap);
+    slots_ = std::allocator<T>().allocate(cap);
+  }
+
+  // Runs after both ends stopped (their threads joined), so tail_ is final.
+  ~Mailbox() {
+    uint64_t tail = tail_.load(std::memory_order_relaxed);
+    std::destroy_n(slots_, std::min<uint64_t>(tail, capacity()));
+    std::allocator<T>().deallocate(slots_, capacity());
   }
 
   Mailbox(const Mailbox&) = delete;
@@ -68,7 +80,12 @@ class Mailbox {
         return false;
       }
     }
-    slots_[tail & mask_] = std::move(item);
+    T* slot = &slots_[tail & mask_];
+    if (tail < capacity()) {
+      ::new (static_cast<void*>(slot)) T(std::move(item));  // first lap
+    } else {
+      *slot = std::move(item);
+    }
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
@@ -110,7 +127,7 @@ class Mailbox {
   alignas(64) std::atomic<uint64_t> head_{0};  // consumer-owned
   uint64_t tail_cache_ = 0;                    // consumer's view of tail_
   alignas(64) size_t mask_ = 0;
-  std::vector<T> slots_;
+  T* slots_ = nullptr;  // slots [0, min(tail_, capacity())) are built
 };
 
 // Park/notify primitive for an idle mailbox consumer: an eventfd the consumer

@@ -49,7 +49,7 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
         // Lane threads (and this thread, for cross-lane barriers): the same
         // counters the inline path bumps, already atomic.
         if (!sub.is_noop()) {
-          owner_->applied_ops_.fetch_add(1, std::memory_order_release);
+          applied_ops_.fetch_add(1, std::memory_order_release);
           owner_->deployment_->CountApplied(shard_, sub);
         }
       };
@@ -73,6 +73,10 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
   exec::ExecPool* pool() { return pool_.get(); }
   uint32_t open_peers() const { return open_peers_.load(std::memory_order_relaxed); }
   uint64_t max_queued() const { return max_queued_.load(std::memory_order_relaxed); }
+  uint64_t applied_ops() const { return applied_ops_.load(std::memory_order_acquire); }
+  uint64_t outputs_pushed() const {
+    return outputs_pushed_.load(std::memory_order_relaxed);
+  }
 
   // Called on the spawning thread before the worker thread exists.
   void Spawn(common::ProcessId self, uint32_t n, std::vector<PeerSocket> sockets,
@@ -150,7 +154,7 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
         shard_, dot, cmd, exec_scratch_,
         [this](uint32_t, const smr::Command& sub, std::string&& result) {
           if (!sub.is_noop()) {
-            owner_->applied_ops_.fetch_add(1, std::memory_order_release);
+            applied_ops_.fetch_add(1, std::memory_order_release);
           }
           if (sub.client != 0) {  // client 0: internal command (noOp)
             PushReply(sub.client, sub.seq, std::move(result), /*dropped=*/false);
@@ -230,7 +234,7 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
       }
       std::this_thread::yield();
     }
-    owner_->outputs_pushed_.fetch_add(1, std::memory_order_relaxed);
+    outputs_pushed_.fetch_add(1, std::memory_order_relaxed);
     NotifyOutput();
   }
 
@@ -444,6 +448,10 @@ class ShardRuntime::Worker final : public smr::Context, public Connection::Handl
   std::atomic<bool> stopped_{false};
   std::atomic<uint32_t> open_peers_{0};
   std::atomic<uint64_t> max_queued_{0};
+  // Bumped per sub-command / per reply by this worker (applied also by its
+  // executor lanes), on a line no other shard writes; summed on read.
+  alignas(64) std::atomic<uint64_t> applied_ops_{0};
+  std::atomic<uint64_t> outputs_pushed_{0};
 
   // Worker-local state (worker thread only, after Spawn).
   smr::RestartHint recovered_;
@@ -538,6 +546,22 @@ bool ShardRuntime::Push(uint32_t shard, ShardInput& in) {
   }
   w.bell().Ring();
   return true;
+}
+
+uint64_t ShardRuntime::applied_ops() const {
+  uint64_t sum = 0;
+  for (const auto& w : workers_) {
+    sum += w->applied_ops();
+  }
+  return sum;
+}
+
+uint64_t ShardRuntime::outputs_pushed() const {
+  uint64_t sum = 0;
+  for (const auto& w : workers_) {
+    sum += w->outputs_pushed();
+  }
+  return sum;
 }
 
 void ShardRuntime::DropInput(ShardInput& in) {

@@ -54,9 +54,9 @@
 
 namespace rt {
 
-// One item on an (I/O -> shard) inbox edge. Slots are resident in the mailbox
-// ring; pushing moves the command in, so slot capacity is recycled across
-// items (no per-item heap allocation once warm).
+// One item on an (I/O -> shard) inbox edge. Pushing moves the command into a
+// ring slot and popping moves it out again, so the edge itself adds no
+// per-item heap allocation (pinned by alloc_test).
 struct ShardInput {
   enum class Kind : uint8_t {
     kNone,
@@ -94,9 +94,9 @@ class ShardOutputSink {
 
 class ShardRuntime {
  public:
-  // Slots per (I/O <-> shard) mailbox edge. The rings are allocated up front,
-  // so this and the ShardInput/ShardOutput sizes set most of a node's
-  // start-up cost.
+  // Slots per (I/O <-> shard) mailbox edge. A ring reserves its storage up
+  // front but builds each slot only when its first lap reaches it, so the
+  // capacity bounds a node's memory, not its start-up cost.
   static constexpr size_t kMailboxSlots = 8192;
 
   // A connected peer socket for one shard, handed over at Start().
@@ -156,18 +156,16 @@ class ShardRuntime {
 
   uint32_t partitions() const { return partitions_; }
   bool stopped(uint32_t shard) const;
-  // Client commands applied across all shards (atomic; readable any time).
-  uint64_t applied_ops() const {
-    return applied_ops_.load(std::memory_order_acquire);
-  }
+  // Client commands applied across all shards: a sum of per-shard atomics,
+  // readable any time (each load acquires its worker's release increments).
+  uint64_t applied_ops() const;
   // Inputs dropped on full shard inboxes (monitoring; atomic).
   uint64_t inputs_dropped() const {
     return inputs_dropped_.load(std::memory_order_relaxed);
   }
-  // Client replies pushed onto outboxes across all shards (monitoring; atomic).
-  uint64_t outputs_pushed() const {
-    return outputs_pushed_.load(std::memory_order_relaxed);
-  }
+  // Client replies pushed onto outboxes across all shards (monitoring; a sum
+  // of per-shard atomics).
+  uint64_t outputs_pushed() const;
 
   // Per-worker socket state, readable from any thread: the peer connections
   // shard `shard`'s worker holds open, and the largest write buffer any of
@@ -183,9 +181,7 @@ class ShardRuntime {
   std::function<void()> output_notify_;
   std::function<void(uint32_t, common::ProcessId)> peer_lost_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<uint64_t> applied_ops_{0};
   std::atomic<uint64_t> inputs_dropped_{0};
-  std::atomic<uint64_t> outputs_pushed_{0};
   bool started_ = false;
 };
 

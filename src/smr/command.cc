@@ -38,20 +38,28 @@ size_t Command::PayloadSize() const {
 
 Command Command::Decode(codec::Reader& r) {
   Command c;
-  c.client = r.Varint();
-  c.seq = r.Varint();
-  c.op = static_cast<Op>(r.U8());
-  c.key = r.Bytes();
+  DecodeInto(r, c);
+  return c;
+}
+
+void Command::DecodeInto(codec::Reader& r, Command& out) {
+  out.client = r.Varint();
+  out.seq = r.Varint();
+  out.op = static_cast<Op>(r.U8());
+  std::string_view key = r.BytesView();
+  out.key.assign(key.data(), key.size());
   uint64_t n = r.Varint();
   if (n > r.remaining()) {
-    return c;  // poisoned reader; caller checks r.ok()
+    r.Fail();  // more keys than bytes left
+    return;
   }
-  c.more_keys.reserve(n);
-  for (uint64_t i = 0; i < n; i++) {
-    c.more_keys.push_back(r.Bytes());
+  out.more_keys.resize(n);
+  for (std::string& k : out.more_keys) {
+    std::string_view v = r.BytesView();
+    k.assign(v.data(), v.size());
   }
-  c.value = r.Bytes();
-  return c;
+  std::string_view value = r.BytesView();
+  out.value.Assign(value.data(), value.size());
 }
 
 bool operator==(const Command& a, const Command& b) {
@@ -167,29 +175,29 @@ void MakeBatchInto(const std::vector<Command>& cmds, codec::Writer& scratch,
   }
 }
 
-bool UnpackBatch(const Command& batch, std::vector<Command>& out) {
-  out.clear();
+size_t UnpackBatch(const Command& batch, std::vector<Command>& out) {
   if (!batch.is_batch()) {
-    return false;
+    return 0;
   }
   codec::Reader r(reinterpret_cast<const uint8_t*>(batch.value.data()),
                   batch.value.size());
   uint64_t n = r.Varint();
   if (!r.ok() || n == 0 || n > batch.value.size()) {
-    return false;
+    return 0;
   }
-  out.reserve(n);
+  if (out.size() < n) {
+    out.resize(n);
+  }
   for (uint64_t i = 0; i < n; i++) {
-    out.push_back(Command::Decode(r));
+    Command::DecodeInto(r, out[i]);
     // Enforce MakeBatch's no-nesting invariant on the decode path too: untrusted
     // input (the TCP runtime submits client commands verbatim) must not be able to
     // nest batches and drive Apply/UnpackBatch into unbounded recursion.
-    if (!r.ok() || out.back().is_batch()) {
-      out.clear();
-      return false;
+    if (!r.ok() || out[i].is_batch()) {
+      return 0;
     }
   }
-  return true;
+  return n;
 }
 
 }  // namespace smr

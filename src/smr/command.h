@@ -84,6 +84,10 @@ struct Command {
   }
   void Encode(codec::Writer& w) const { EncodeTo(w); }
   static Command Decode(codec::Reader& r);
+  // Decodes into `out` in place, reusing its key, key-vector and unshared value
+  // capacity, so a warm target decodes without allocating. On a malformed input
+  // `r` is poisoned (caller checks r.ok()) and `out` is partly overwritten.
+  static void DecodeInto(codec::Reader& r, Command& out);
 
   friend bool operator==(const Command& a, const Command& b);
 
@@ -113,9 +117,11 @@ Command MakeBatch(const std::vector<Command>& cmds);
 void MakeBatchInto(const std::vector<Command>& cmds, codec::Writer& scratch,
                    Command& out, PayloadPool* pool = nullptr);
 
-// Decodes a kBatch's sub-commands into `out` (cleared first). Returns false if
-// `batch` is not a well-formed batch. `out` reuses its capacity across calls.
-bool UnpackBatch(const Command& batch, std::vector<Command>& out);
+// Decodes a kBatch's sub-commands in place into out[0, n) and returns n, or 0 if
+// `batch` is not a well-formed batch. `out` never shrinks: elements past n stay
+// constructed with their buffers, so a warm scratch decodes the next batch
+// without allocating (pinned by alloc_test). Read out[0, n), not all of out.
+size_t UnpackBatch(const Command& batch, std::vector<Command>& out);
 
 }  // namespace smr
 

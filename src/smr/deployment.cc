@@ -126,10 +126,7 @@ Deployment::Deployment(DeploymentOptions opts)
     }
     CHECK(stores_.back() != nullptr);
   }
-  applied_counts_ = std::make_unique<std::atomic<uint64_t>[]>(opts_.partitions);
-  for (uint32_t s = 0; s < opts_.partitions; s++) {
-    applied_counts_[s].store(0, std::memory_order_relaxed);
-  }
+  applied_counts_ = std::make_unique<AppliedCount[]>(opts_.partitions);
 
   if (!opts_.data_dir.empty()) {
     // Open per-shard persistence and recover whatever is on disk: snapshot
@@ -148,7 +145,7 @@ Deployment::Deployment(DeploymentOptions opts)
       if (d->had_state()) {
         recovered_ = true;
         uint64_t applied = d->Recover(*stores_[s]);
-        applied_counts_[s].store(applied, std::memory_order_relaxed);
+        applied_counts_[s].n.store(applied, std::memory_order_relaxed);
       }
       codec::Writer w;
       d->frontier().EncodeTo(w);

@@ -148,7 +148,7 @@ class Deployment {
   StateMachine& store(uint32_t shard = 0) { return *stores_[shard]; }
   const StateMachine& store(uint32_t shard = 0) const { return *stores_[shard]; }
   uint64_t applied_count(uint32_t shard = 0) const {
-    return applied_counts_[shard].load(std::memory_order_acquire);
+    return applied_counts_[shard].n.load(std::memory_order_acquire);
   }
 
   // The shard's store as a lane-partitioned store, or nullptr when
@@ -162,7 +162,7 @@ class Deployment {
   // the inline ApplyExecuted path below counts through the same atomics.
   void CountApplied(uint32_t shard, const Command& cmd) {
     if (!cmd.is_noop()) {
-      applied_counts_[shard].fetch_add(1, std::memory_order_release);
+      applied_counts_[shard].n.fetch_add(1, std::memory_order_release);
     }
   }
 
@@ -254,9 +254,10 @@ class Deployment {
       return;
     }
     if (cmd.is_batch()) {
-      CHECK(UnpackBatch(cmd, scratch));
-      for (const Command& sub : scratch) {
-        ApplyOne(shard, sub, fn);
+      size_t n = UnpackBatch(cmd, scratch);
+      CHECK_GT(n, 0u);
+      for (size_t i = 0; i < n; i++) {
+        ApplyOne(shard, scratch[i], fn);
       }
     } else {
       ApplyOne(shard, cmd, fn);
@@ -271,8 +272,10 @@ class Deployment {
   template <class Fn>
   void ForEachCommitted(const Command& cmd, Fn&& fn) {
     if (cmd.is_batch()) {
-      CHECK(UnpackBatch(cmd, commit_scratch_));
-      for (const Command& sub : commit_scratch_) {
+      size_t n = UnpackBatch(cmd, commit_scratch_);
+      CHECK_GT(n, 0u);
+      for (size_t i = 0; i < n; i++) {
+        const Command& sub = commit_scratch_[i];
         fn(sub);
       }
       return;
@@ -288,8 +291,10 @@ class Deployment {
   template <class Fn>
   void ForEachDropped(const Command& orig, std::vector<Command>& scratch, Fn&& fn) {
     if (orig.is_batch()) {
-      CHECK(UnpackBatch(orig, scratch));
-      for (const Command& sub : scratch) {
+      size_t n = UnpackBatch(orig, scratch);
+      CHECK_GT(n, 0u);
+      for (size_t i = 0; i < n; i++) {
+        const Command& sub = scratch[i];
         fn(sub);
       }
       return;
@@ -321,7 +326,12 @@ class Deployment {
   std::vector<std::unique_ptr<StateMachine>> stores_;
   // stores_ downcasts when executor_threads > 0 (empty otherwise).
   std::vector<exec::LanedStore*> laned_;
-  std::unique_ptr<std::atomic<uint64_t>[]> applied_counts_;
+  // One cache line per shard: each shard's worker bumps its own count per
+  // sub-command without writing a line another shard's worker writes.
+  struct alignas(64) AppliedCount {
+    std::atomic<uint64_t> n{0};
+  };
+  std::unique_ptr<AppliedCount[]> applied_counts_;
   std::vector<Command> commit_scratch_;  // kBatch unpack reuse (commit path)
   // Per-shard persistence (empty when data_dir is empty).
   std::vector<std::unique_ptr<dur::ShardDurability>> durability_;

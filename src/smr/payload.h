@@ -123,13 +123,19 @@ class Payload {
   }
 
   // Replaces the value with a copy of the bytes. Small values reuse the inline
-  // string's capacity; big values get a fresh buffer (use a PayloadPool to
-  // recycle those on hot paths).
+  // string's capacity. A big value overwrites this payload's own buffer when
+  // no other holder shares it (the acquire load that sees refs == 1 pairs with
+  // the release decrement of the last other holder, as in PayloadPool::Make),
+  // and gets a fresh buffer otherwise.
   void Assign(const char* data, size_t n) {
     if (n <= kInlineMax) {
       UnrefBuf(big_);
       big_ = nullptr;
       small_.assign(data, n);
+      return;
+    }
+    if (big_ != nullptr && big_->refs.load(std::memory_order_acquire) == 1) {
+      big_->bytes.assign(data, n);
       return;
     }
     detail::PayloadBuf* buf = new detail::PayloadBuf;

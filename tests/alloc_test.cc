@@ -351,6 +351,41 @@ TEST(AllocTest, DroppedBatchUnpacksIntoCallerScratch) {
                         << " times";
 }
 
+// Pins in-place batch decoding at benchmark-sized values: applying a warm
+// 16-command batch of 100-byte puts decodes every sub-command into the caller's
+// scratch, reusing its key strings and unshared payload buffers, so it does not
+// allocate (decoding into fresh Commands cost a payload buffer and its string
+// per sub-command). The store's own kBatch path (kvs::KvStore::Apply) is pinned
+// the same way.
+TEST(AllocTest, LargeValueBatchesDecodeInPlace) {
+  smr::Deployment dep(smr::DeploymentOptions{});
+  std::vector<smr::Command> subs;
+  for (uint64_t i = 1; i <= 16; i++) {
+    subs.push_back(smr::MakePut(1, i, "key" + std::to_string(i),
+                                std::string(100, static_cast<char>('a' + i))));
+  }
+  smr::Command batch = smr::MakeBatch(subs);
+  std::vector<smr::Command> scratch;
+  uint64_t replies = 0;
+  auto reply = [&replies](uint32_t, const smr::Command&, std::string&&) {
+    replies++;
+  };
+  auto apply_once = [&]() {
+    dep.ApplyExecuted(0, common::Dot{}, batch, scratch, reply);
+    dep.store(0).Apply(batch);
+  };
+  apply_once();  // warmup: scratch, its payload buffers and the store's keys
+  uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const uint64_t kBatches = 1000;
+  for (uint64_t i = 0; i < kBatches; i++) {
+    apply_once();
+  }
+  uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(replies, subs.size() * (kBatches + 1));
+  EXPECT_LE(allocs, 8u) << kBatches << " warm 16 x 100-byte batches allocated "
+                        << allocs << " times";
+}
+
 // Pins the threaded runtime's mailbox edges to the same recycled-slot
 // discipline as the simulator's event pool: moving inputs through a bounded
 // SPSC ring (src/rt/mailbox.h) must not heap-allocate per item once the ring's

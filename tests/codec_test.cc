@@ -67,6 +67,84 @@ TEST(CodecTest, CommandRoundTrip) {
   EXPECT_EQ(c, d);
 }
 
+// A key count larger than the bytes left cannot be honest: decoding must poison
+// the reader (callers check r.ok()) instead of returning a half-read command.
+TEST(CodecTest, CommandKeyCountPastTheInputPoisonsReader) {
+  codec::Writer w;
+  w.Varint(1);  // client
+  w.Varint(2);  // seq
+  w.U8(static_cast<uint8_t>(smr::Op::kMPut));
+  w.Bytes("k");
+  w.Varint(1000);  // more_keys count, with 2 bytes left
+  w.Bytes("v");
+  codec::Reader r(w.buffer());
+  smr::Command c = smr::Command::Decode(r);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(c.more_keys.empty());
+}
+
+// DecodeInto reuses the target's buffers: it overwrites a payload buffer in
+// place only while the target is its sole holder, so a copy taken from a decoded
+// sub-command (a reply, a log record, an executor hand-off) keeps its bytes when
+// the same scratch decodes the next batch.
+TEST(CodecTest, DecodeIntoNeverOverwritesASharedPayload) {
+  auto encode = [](const smr::Command& c) {
+    codec::Writer w;
+    c.Encode(w);
+    return w.buffer();
+  };
+  const std::string first(100, 'a');
+  const std::string second(100, 'b');
+  std::vector<uint8_t> a = encode(smr::MakePut(1, 1, "k1", first));
+  std::vector<uint8_t> b = encode(smr::MakePut(1, 2, "k2", second));
+
+  smr::Command target;
+  codec::Reader ra(a);
+  smr::Command::DecodeInto(ra, target);
+  ASSERT_TRUE(ra.ok());
+  smr::Payload held = target.value;  // a second holder of the buffer
+  const char* held_bytes = held.data();
+
+  codec::Reader rb(b);
+  smr::Command::DecodeInto(rb, target);
+  ASSERT_TRUE(rb.ok());
+  EXPECT_EQ(target, smr::MakePut(1, 2, "k2", second));
+  EXPECT_EQ(held.view(), first);  // untouched by the second decode
+  EXPECT_EQ(held.data(), held_bytes);
+  EXPECT_NE(target.value.data(), held_bytes);
+
+  // Sole holder again: the next decode reuses the target's own buffer.
+  const char* own = target.value.data();
+  codec::Reader ra2(a);
+  smr::Command::DecodeInto(ra2, target);
+  EXPECT_EQ(target, smr::MakePut(1, 1, "k1", first));
+  EXPECT_EQ(target.value.data(), own);
+  EXPECT_EQ(held.view(), first);
+}
+
+// UnpackBatch decodes in place and leaves elements past a smaller batch's end
+// constructed; a copy held from the earlier batch keeps its bytes.
+TEST(CodecTest, UnpackBatchKeepsHeldPayloadsAndWarmTail) {
+  std::vector<smr::Command> big_subs;
+  for (uint64_t i = 1; i <= 4; i++) {
+    big_subs.push_back(
+        smr::MakePut(1, i, "k" + std::to_string(i), std::string(100, 'x')));
+  }
+  std::vector<smr::Command> scratch;
+  ASSERT_EQ(smr::UnpackBatch(smr::MakeBatch(big_subs), scratch), 4u);
+  smr::Payload held = scratch[0].value;
+
+  std::vector<smr::Command> small_subs = {
+      smr::MakePut(2, 9, "k9", std::string(100, 'y'))};
+  ASSERT_EQ(smr::UnpackBatch(smr::MakeBatch(small_subs), scratch), 1u);
+  EXPECT_EQ(scratch[0], small_subs[0]);
+  EXPECT_EQ(held.view(), std::string(100, 'x'));
+  ASSERT_EQ(scratch.size(), 4u);  // the warm tail stays constructed
+  EXPECT_EQ(scratch[3], big_subs[3]);
+
+  EXPECT_EQ(smr::UnpackBatch(small_subs[0], scratch), 0u);  // not a batch
+}
+
 msg::Message SampleMessage(size_t index) {
   using namespace msg;
   smr::Command cmd = smr::MakePut(1, 2, "k", "value");

@@ -1,7 +1,8 @@
 // Durability tier (src/dur) + restart-from-disk pins.
 //
-// Layer by layer: the DotFrontier dedup set, the CRC-framed segmented commit
-// log (replay determinism, torn-tail truncation, corrupt-frame poisoning),
+// Layer by layer: the CRC-32 framing checksum, the DotFrontier dedup set, the
+// CRC-framed segmented commit log (replay determinism, torn-tail truncation,
+// corrupt-frame poisoning),
 // snapshot round-trips through the redesigned smr::StateMachine seam for BOTH
 // backends (hash-map KvStore and ordered-map OrderedKvs), the per-shard
 // ShardDurability facade (snapshot + log-tail recovery, duplicate admission),
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "src/dur/commit_log.h"
+#include "src/dur/crc32.h"
 #include "src/dur/frontier.h"
 #include "src/dur/shard_durability.h"
 #include "src/kvs/kvs.h"
@@ -51,6 +53,49 @@ struct TempDir {
 };
 
 common::Dot D(common::ProcessId p, uint64_t seq) { return common::Dot{p, seq}; }
+
+// ---------------------------------------------------------------------------
+// Crc32
+
+// The byte-at-a-time definition every frame on disk was written with.
+uint32_t Crc32Bytewise(const uint8_t* data, size_t size, uint32_t seed) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < size; i++) {
+    c ^= data[i];
+    for (int k = 0; k < 8; k++) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, MatchesTheStandardCheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+// Slicing folds 8 bytes per step: every length 0..1024 at every start offset
+// mod 8 (and a chained seed) must equal the byte-wise CRC.
+TEST(Crc32Test, SlicedMatchesBytewiseAtEveryLengthAndAlignment) {
+  std::vector<uint8_t> buf(1024 + 8);
+  uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (uint8_t& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<uint8_t>(x);
+  }
+  for (size_t offset = 0; offset < 8; offset++) {
+    for (size_t len = 0; len <= 1024; len++) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32(p, len), Crc32Bytewise(p, len, 0))
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(Crc32(p, len, 0x12345678u), Crc32Bytewise(p, len, 0x12345678u))
+          << "seeded, offset " << offset << " length " << len;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // DotFrontier

@@ -6,6 +6,9 @@
 //  * slot residency: items move through resident slots across many wraps with
 //    payloads intact (the allocation-free pin for this path lives in
 //    alloc_test, which counts heap traffic through the same cycle);
+//  * slot lifetimes: a ring builds no slot until the producer first reaches
+//    it, builds each slot once, and its destructor destroys exactly the slots
+//    that were built (a counting slot type; ASan/LSan catch the rest);
 //  * FIFO under real concurrency: a producer thread and a consumer thread move
 //    a large sequenced stream through a small ring; order and completeness
 //    must survive the backpressure-induced retries on both sides;
@@ -71,6 +74,114 @@ TEST(MailboxTest, SlotsCarryPayloadsAcrossWraps) {
     EXPECT_EQ(out, big + std::to_string(round));
   }
   EXPECT_TRUE(box.Empty());
+}
+
+// Counts constructions and destructions. The string member puts each live
+// object on the heap, so a slot the ring forgets to destroy is also a leak.
+struct Counted {
+  static inline uint64_t constructed = 0;
+  static inline uint64_t destroyed = 0;
+  static void Reset() { constructed = destroyed = 0; }
+
+  Counted() { constructed++; }
+  Counted(Counted&& other) noexcept : payload(std::move(other.payload)) {
+    constructed++;
+  }
+  Counted& operator=(Counted&& other) noexcept {
+    payload = std::move(other.payload);
+    return *this;
+  }
+  ~Counted() { destroyed++; }
+
+  std::string payload = std::string(64, 'p');  // past SSO
+};
+
+TEST(MailboxTest, ConstructionBuildsNoSlots) {
+  Counted::Reset();
+  {
+    Mailbox<Counted> box(8192);
+    EXPECT_EQ(Counted::constructed, 0u);
+  }
+  EXPECT_EQ(Counted::destroyed, 0u);  // never pushed: nothing to destroy
+}
+
+TEST(MailboxTest, PushesBuildOneSlotEachUntilTheRingWraps) {
+  Counted item;
+  Counted out;
+  Counted::Reset();
+  {
+    Mailbox<Counted> box(8);
+    for (uint64_t k = 1; k <= 5; k++) {
+      item.payload.assign(64, 'a');
+      ASSERT_TRUE(box.TryPush(item));
+      EXPECT_EQ(Counted::constructed, k);
+    }
+    // Pop and push through several laps: the three unbuilt slots are built
+    // as the first lap reaches them, then every slot is reused.
+    for (int i = 0; i < 40; i++) {
+      ASSERT_TRUE(box.TryPop(out));
+      item.payload.assign(64, 'b');
+      ASSERT_TRUE(box.TryPush(item));
+    }
+    EXPECT_EQ(Counted::constructed, 8u);
+    EXPECT_EQ(Counted::destroyed, 0u);
+  }
+  EXPECT_EQ(Counted::destroyed, 8u);  // wrapped, with 5 items still queued
+}
+
+TEST(MailboxTest, DestructorDestroysExactlyTheBuiltSlots) {
+  Counted item;
+  Counted out;
+  // Partly filled, everything popped again.
+  Counted::Reset();
+  {
+    Mailbox<Counted> box(16);
+    for (int i = 0; i < 3; i++) {
+      ASSERT_TRUE(box.TryPush(item));
+    }
+    for (int i = 0; i < 3; i++) {
+      ASSERT_TRUE(box.TryPop(out));
+    }
+  }
+  EXPECT_EQ(Counted::constructed, 3u);
+  EXPECT_EQ(Counted::destroyed, 3u);
+
+  // Partly filled, items still queued.
+  Counted::Reset();
+  {
+    Mailbox<Counted> box(16);
+    for (int i = 0; i < 7; i++) {
+      ASSERT_TRUE(box.TryPush(item));
+    }
+    ASSERT_TRUE(box.TryPop(out));
+  }
+  EXPECT_EQ(Counted::constructed, 7u);
+  EXPECT_EQ(Counted::destroyed, 7u);
+
+  // Wrapped many times and drained.
+  Counted::Reset();
+  {
+    Mailbox<Counted> box(4);
+    for (int i = 0; i < 100; i++) {
+      ASSERT_TRUE(box.TryPush(item));
+      ASSERT_TRUE(box.TryPop(out));
+    }
+    EXPECT_TRUE(box.Empty());
+  }
+  EXPECT_EQ(Counted::constructed, 4u);
+  EXPECT_EQ(Counted::destroyed, 4u);
+
+  // Full ring: every slot built and holding an item.
+  Counted::Reset();
+  {
+    Mailbox<Counted> box(4);
+    for (int i = 0; i < 4; i++) {
+      ASSERT_TRUE(box.TryPush(item));
+    }
+    EXPECT_FALSE(box.TryPush(item));
+  }
+  EXPECT_EQ(Counted::constructed, 4u);
+  EXPECT_EQ(Counted::destroyed, 4u);
 }
 
 // One producer thread, one consumer thread, a ring far smaller than the
